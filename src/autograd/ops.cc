@@ -1,6 +1,8 @@
 #include "src/autograd/ops.h"
 
 #include <cmath>
+#include <memory>
+#include <type_traits>
 
 #include "src/tensor/kernels.h"
 #include "src/util/logging.h"
@@ -28,6 +30,7 @@ void CheckSameShape(const Variable& a, const Variable& b) {
 }
 
 /// Elementwise unary op helper: out = f(x), dx += dOut * dfdx(x, out).
+/// `fwd` maps one value, or is a row kernel fwd(x, y, n) such as VecTanh.
 template <typename FwdFn, typename GradFn>
 Variable UnaryElementwise(const Variable& x, const char* name, FwdFn fwd,
                           GradFn dfdx) {
@@ -35,7 +38,12 @@ Variable UnaryElementwise(const Variable& x, const char* name, FwdFn fwd,
   const Tensor& xv = x.value();
   ParallelForWork(xv.numel(), kTranscendentalWork,
                   [&](int64_t lo, int64_t hi) {
-                    for (int64_t i = lo; i < hi; ++i) out[i] = fwd(xv[i]);
+                    if constexpr (std::is_invocable_v<FwdFn, const float*,
+                                                      float*, int64_t>) {
+                      fwd(xv.data() + lo, out.data() + lo, hi - lo);
+                    } else {
+                      for (int64_t i = lo; i < hi; ++i) out[i] = fwd(xv[i]);
+                    }
                   });
   auto xn = x.node();
   return MakeOpNode(
@@ -480,17 +488,13 @@ Variable StackTime(const std::vector<Variable>& xs) {
 
 Variable Sigmoid(const Variable& x) {
   return UnaryElementwise(
-      x, "sigmoid",
-      [](float v) {
-        return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                         : std::exp(v) / (1.0f + std::exp(v));
-      },
+      x, "sigmoid", VecSigmoid,
       [](float /*xv*/, float yv) { return yv * (1.0f - yv); });
 }
 
 Variable Tanh(const Variable& x) {
   return UnaryElementwise(
-      x, "tanh", [](float v) { return std::tanh(v); },
+      x, "tanh", VecTanh,
       [](float /*xv*/, float yv) { return 1.0f - yv * yv; });
 }
 
@@ -871,6 +875,191 @@ Variable Dropout(const Variable& x, float p, Rng* rng, bool training) {
                     "dropout");
 }
 
+int64_t LstmFlops(int64_t batch, int64_t seq, int64_t input_dim,
+                  int64_t hidden) {
+  return batch * seq *
+         (2 * input_dim * 4 * hidden + 2 * hidden * 4 * hidden + 10 * hidden);
+}
+
+namespace {
+
+/// What ag::Lstm keeps for backward. Rows are time-major (row t * B + b) so
+/// each timestep is one dense [B, *] block the GEMMs address directly.
+struct LstmTape {
+  Tensor x;       // [T*B, in]  the input
+  Tensor gates;   // [T*B, 4H]  sigma(i), sigma(f), tanh(g), sigma(o)
+  Tensor c;       // [T*B, H]
+  Tensor tanh_c;  // [T*B, H]
+  Tensor h;       // [T*B, H]
+};
+
+/// Per hidden unit: five polynomial activations forward; about twenty
+/// multiply-adds backward.
+constexpr int64_t kLstmCellWork = 5 * kTranscendentalWork;
+constexpr int64_t kLstmCellGradWork = 20;
+
+/// dL/dgates for rows [lo, hi) of timestep t from the saved activations:
+/// dh (the output gradient plus the recurrent term) and dc (carried from
+/// step t + 1, updated in place to dL/dc_{t-1}).
+void LstmCellBackward(const LstmTape& tape, const float* dout, int64_t t,
+                      int64_t batch, int64_t seq, int64_t hidden, int64_t lo,
+                      int64_t hi, const float* dh_rec, float* dc,
+                      float* dgates) {
+  const int64_t g4 = 4 * hidden;
+  for (int64_t b = lo; b < hi; ++b) {
+    const int64_t r = t * batch + b;
+    const float* act = tape.gates.data() + r * g4;
+    const float* tc = tape.tanh_c.data() + r * hidden;
+    const float* cp =
+        t > 0 ? tape.c.data() + (r - batch) * hidden : nullptr;
+    const float* dy = dout + (b * seq + t) * hidden;
+    const float* dhr = dh_rec + b * hidden;
+    float* dcr = dc + b * hidden;
+    float* dz = dgates + r * g4;
+    for (int64_t j = 0; j < hidden; ++j) {
+      const float i = act[j];
+      const float f = act[hidden + j];
+      const float g = act[2 * hidden + j];
+      const float o = act[3 * hidden + j];
+      const float dh = dy[j] + dhr[j];
+      const float dcv = dcr[j] + dh * o * (1.0f - tc[j] * tc[j]);
+      const float prev = cp != nullptr ? cp[j] : 0.0f;
+      dz[j] = dcv * g * i * (1.0f - i);
+      dz[hidden + j] = dcv * prev * f * (1.0f - f);
+      dz[2 * hidden + j] = dcv * i * (1.0f - g * g);
+      dz[3 * hidden + j] = dh * tc[j] * o * (1.0f - o);
+      dcr[j] = dcv * f;
+    }
+  }
+}
+
+}  // namespace
+
+Variable Lstm(const Variable& x, const Variable& w_x, const Variable& w_h,
+              const Variable& bias) {
+  const Tensor& xv = x.value();
+  ALT_CHECK_EQ(xv.ndim(), 3);
+  const int64_t batch = xv.size(0);
+  const int64_t seq = xv.size(1);
+  const int64_t in = xv.size(2);
+  const int64_t hidden = w_h.value().size(0);
+  const int64_t g4 = 4 * hidden;
+  ALT_CHECK_EQ(w_x.value().ndim(), 2);
+  ALT_CHECK_EQ(w_x.value().size(0), in);
+  ALT_CHECK_EQ(w_x.value().size(1), g4);
+  ALT_CHECK_EQ(w_h.value().ndim(), 2);
+  ALT_CHECK_EQ(w_h.value().size(1), g4);
+  ALT_CHECK_EQ(bias.value().ndim(), 1);
+  ALT_CHECK_EQ(bias.value().size(0), g4);
+  const int64_t rows = batch * seq;
+
+  auto tape = std::make_shared<LstmTape>();
+  tape->x = Tensor({rows, in});
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t t = 0; t < seq; ++t) {
+      const float* src = xv.data() + (b * seq + t) * in;
+      std::copy(src, src + in, tape->x.data() + (t * batch + b) * in);
+    }
+  }
+  // Input projection for every row at once, then the bias.
+  tape->gates = Tensor({rows, g4});
+  Gemm(tape->x.data(), w_x.value().data(), tape->gates.data(), rows, in, g4,
+       /*accumulate=*/false);
+  for (int64_t r = 0; r < rows; ++r) {
+    float* row = tape->gates.data() + r * g4;
+    for (int64_t j = 0; j < g4; ++j) row[j] += bias.value()[j];
+  }
+  tape->c = Tensor({rows, hidden});
+  tape->tanh_c = Tensor({rows, hidden});
+  tape->h = Tensor({rows, hidden});
+  for (int64_t t = 0; t < seq; ++t) {
+    float* gates_t = tape->gates.data() + t * batch * g4;
+    // h_{-1} = 0, so step 0 has no recurrent term.
+    if (t > 0) {
+      Gemm(tape->h.data() + (t - 1) * batch * hidden, w_h.value().data(),
+           gates_t, batch, hidden, g4, /*accumulate=*/true);
+    }
+    ParallelForWork(batch, hidden * kLstmCellWork, [&](int64_t lo,
+                                                       int64_t hi) {
+      const int64_t r = t * batch + lo;
+      LstmCell(gates_t + lo * g4,
+               t > 0 ? tape->c.data() + (r - batch) * hidden : nullptr,
+               tape->c.data() + r * hidden, tape->tanh_c.data() + r * hidden,
+               tape->h.data() + r * hidden, hi - lo, hidden);
+    });
+  }
+  Tensor out({batch, seq, hidden});
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t t = 0; t < seq; ++t) {
+      const float* src = tape->h.data() + (t * batch + b) * hidden;
+      std::copy(src, src + hidden, out.data() + (b * seq + t) * hidden);
+    }
+  }
+
+  auto xn = x.node();
+  auto wxn = w_x.node();
+  auto whn = w_h.node();
+  auto bn = bias.node();
+  return MakeOpNode(
+      std::move(out), {xn, wxn, whn, bn},
+      [xn, wxn, whn, bn, tape, batch, seq, in, hidden](Node* self) {
+        const int64_t g4 = 4 * hidden;
+        const int64_t rows = batch * seq;
+        Tensor dgates({rows, g4});
+        Tensor dh_rec({batch, hidden});  // dL/dh_t through step t + 1
+        Tensor dc({batch, hidden});
+        for (int64_t t = seq - 1; t >= 0; --t) {
+          ParallelForWork(batch, hidden * kLstmCellGradWork,
+                          [&](int64_t lo, int64_t hi) {
+                            LstmCellBackward(*tape, self->grad.data(), t,
+                                             batch, seq, hidden, lo, hi,
+                                             dh_rec.data(), dc.data(),
+                                             dgates.data());
+                          });
+          if (t > 0) {
+            dh_rec.SetZero();
+            GemmTransBAcc(dgates.data() + t * batch * g4, whn->value.data(),
+                          dh_rec.data(), batch, g4, hidden);
+          }
+        }
+        if (xn->requires_grad) {
+          Tensor dx({rows, in});
+          GemmTransBAcc(dgates.data(), wxn->value.data(), dx.data(), rows,
+                        g4, in);
+          xn->EnsureGrad();
+          for (int64_t b = 0; b < batch; ++b) {
+            for (int64_t t = 0; t < seq; ++t) {
+              const float* src = dx.data() + (t * batch + b) * in;
+              float* dst = xn->grad.data() + (b * seq + t) * in;
+              for (int64_t k = 0; k < in; ++k) dst[k] += src[k];
+            }
+          }
+        }
+        if (wxn->requires_grad) {
+          wxn->EnsureGrad();
+          GemmTransAAcc(tape->x.data(), dgates.data(), wxn->grad.data(), in,
+                        rows, g4);
+        }
+        if (whn->requires_grad) {
+          // dW_h = sum_t h_{t-1}^T dgates_t: rows [0, (T-1)B) of h against
+          // rows [B, TB) of dgates.
+          whn->EnsureGrad();
+          if (seq > 1) {
+            GemmTransAAcc(tape->h.data(), dgates.data() + batch * g4,
+                          whn->grad.data(), hidden, rows - batch, g4);
+          }
+        }
+        if (bn->requires_grad) {
+          bn->EnsureGrad();
+          for (int64_t r = 0; r < rows; ++r) {
+            const float* row = dgates.data() + r * g4;
+            for (int64_t j = 0; j < g4; ++j) bn->grad[j] += row[j];
+          }
+        }
+      },
+      "lstm", LstmFlops(batch, seq, in, hidden));
+}
+
 Variable BCEWithLogits(const Variable& logits, const Variable& targets) {
   CheckSameShape(logits, targets);
   const Tensor& z = logits.value();
@@ -897,9 +1086,7 @@ Variable BCEWithLogits(const Variable& logits, const Variable& targets) {
       zn->EnsureGrad();
       for (int64_t i = 0; i < n; ++i) {
         const float zi = zn->value[i];
-        const float sig = zi >= 0.0f ? 1.0f / (1.0f + std::exp(-zi))
-                                     : std::exp(zi) / (1.0f + std::exp(zi));
-        zn->grad[i] += g * (sig - yn->value[i]);
+        zn->grad[i] += g * (StableSigmoid(zi) - yn->value[i]);
       }
     }
     if (yn->requires_grad) {

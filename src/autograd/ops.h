@@ -102,6 +102,24 @@ Variable LayerNorm(const Variable& x, const Variable& gamma,
 Variable Dropout(const Variable& x, float p, Rng* rng, bool training);
 
 // ---------------------------------------------------------------------------
+// Recurrent
+// ---------------------------------------------------------------------------
+/// A whole-sequence LSTM layer recorded as one graph node: x[B,T,in],
+/// w_x[in,4H], w_h[H,4H], bias[4H] (gate order input, forget, cell, output)
+/// -> hidden states [B,T,H], from a zero initial state. Forward runs one
+/// input-projection GEMM over all B*T rows, then per timestep one recurrent
+/// GEMM and the fused alt::LstmCell kernel. The node keeps the gate
+/// activations, c and tanh(c), so backward (BPTT) evaluates no
+/// transcendental; it does one GEMM each for dW_x and dx over all rows.
+Variable Lstm(const Variable& x, const Variable& w_x, const Variable& w_h,
+              const Variable& bias);
+/// Forward FLOPs of Lstm over `batch` sequences of length `seq`: per step,
+/// the two projections into 4H gates plus ~10 elementwise ops per hidden
+/// unit (gate nonlinearities and the cell update).
+int64_t LstmFlops(int64_t batch, int64_t seq, int64_t input_dim,
+                  int64_t hidden);
+
+// ---------------------------------------------------------------------------
 // Losses
 // ---------------------------------------------------------------------------
 /// Mean binary cross-entropy on logits; numerically stable. `targets` may be

@@ -1,8 +1,7 @@
 #include "src/models/multi_sequence_model.h"
 
-#include <cmath>
-
 #include "src/autograd/ops.h"
+#include "src/tensor/kernels.h"
 #include "src/util/logging.h"
 
 namespace alt {
@@ -83,10 +82,7 @@ std::vector<float> MultiSequenceModel::PredictProbs(
   SetTraining(was_training);
   std::vector<float> probs(static_cast<size_t>(logits.numel()));
   for (int64_t i = 0; i < logits.numel(); ++i) {
-    const float z = logits[i];
-    probs[static_cast<size_t>(i)] =
-        z >= 0.0f ? 1.0f / (1.0f + std::exp(-z))
-                  : std::exp(z) / (1.0f + std::exp(z));
+    probs[static_cast<size_t>(i)] = StableSigmoid(logits[i]);
   }
   return probs;
 }

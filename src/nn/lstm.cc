@@ -21,42 +21,13 @@ LstmLayer::LstmLayer(int64_t input_dim, int64_t hidden_dim, Rng* rng)
 }
 
 ag::Variable LstmLayer::Forward(const ag::Variable& x) {
-  const Tensor& xv = x.value();
-  ALT_CHECK_EQ(xv.ndim(), 3);
-  ALT_CHECK_EQ(xv.size(2), input_dim_);
-  const int64_t batch = xv.size(0);
-  const int64_t seq = xv.size(1);
-  const int64_t h = hidden_dim_;
-
-  ag::Variable h_prev = ag::Variable::Constant(Tensor::Zeros({batch, h}));
-  ag::Variable c_prev = ag::Variable::Constant(Tensor::Zeros({batch, h}));
-  std::vector<ag::Variable> outputs;
-  outputs.reserve(static_cast<size_t>(seq));
-  for (int64_t t = 0; t < seq; ++t) {
-    ag::Variable x_t = ag::SelectTime(x, t);  // [B, in]
-    ag::Variable gates = ag::AddBias(
-        ag::Add(ag::MatMul(x_t, w_x_), ag::MatMul(h_prev, w_h_)), bias_);
-    ag::Variable i_g = ag::Sigmoid(ag::SliceLastDim(gates, 0, h));
-    ag::Variable f_g = ag::Sigmoid(ag::SliceLastDim(gates, h, h));
-    ag::Variable g_g = ag::Tanh(ag::SliceLastDim(gates, 2 * h, h));
-    ag::Variable o_g = ag::Sigmoid(ag::SliceLastDim(gates, 3 * h, h));
-    ag::Variable c_t =
-        ag::Add(ag::Mul(f_g, c_prev), ag::Mul(i_g, g_g));
-    ag::Variable h_t = ag::Mul(o_g, ag::Tanh(c_t));
-    outputs.push_back(h_t);
-    h_prev = h_t;
-    c_prev = c_t;
-  }
-  return ag::StackTime(outputs);  // [B, T, H]
+  ALT_CHECK_EQ(x.value().ndim(), 3);
+  ALT_CHECK_EQ(x.value().size(2), input_dim_);
+  return ag::Lstm(x, w_x_, w_h_, bias_);
 }
 
 int64_t LstmLayer::Flops(int64_t seq_len) const {
-  // Per timestep: two matmuls into 4H gates plus ~10 elementwise ops per
-  // hidden unit (gate nonlinearities and cell updates).
-  const int64_t per_step =
-      2 * input_dim_ * 4 * hidden_dim_ + 2 * hidden_dim_ * 4 * hidden_dim_ +
-      10 * hidden_dim_;
-  return seq_len * per_step;
+  return ag::LstmFlops(/*batch=*/1, seq_len, input_dim_, hidden_dim_);
 }
 
 std::vector<std::pair<std::string, ag::Variable*>>

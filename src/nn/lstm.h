@@ -12,9 +12,9 @@
 namespace alt {
 namespace nn {
 
-/// A single LSTM layer. Gates are computed from one fused [in+hidden, 4H]
-/// projection per timestep; gate order is (input, forget, cell, output).
-/// The forget-gate bias is initialized to 1.
+/// A single LSTM layer, run as one ag::Lstm graph node over the whole
+/// sequence; gate order is (input, forget, cell, output). The forget-gate
+/// bias is initialized to 1.
 class LstmLayer : public Module {
  public:
   LstmLayer(int64_t input_dim, int64_t hidden_dim, Rng* rng);

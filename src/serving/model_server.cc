@@ -157,6 +157,41 @@ std::shared_ptr<ModelServer::Deployment> ModelServer::FindDeployment(
   return it == deployments_.end() ? nullptr : it->second;
 }
 
+Status ModelServer::ValidateRequest(Deployment* deployment,
+                                   const data::Batch& batch) {
+  MutexLock model_lock(deployment->mu);
+  // A deployment without a model is PredictOn's NotFound to report.
+  if (deployment->model == nullptr) return Status::OK();
+  const models::ModelConfig& config = deployment->model->config();
+  if (batch.batch_size < 1 || batch.profiles.ndim() != 2 ||
+      batch.profiles.size(0) != batch.batch_size ||
+      batch.profiles.size(1) != config.profile_dim) {
+    return Status::InvalidArgument(
+        "profiles must be [batch_size, " +
+        std::to_string(config.profile_dim) + "], got " +
+        ShapeToString(batch.profiles.shape()) + " for batch_size " +
+        std::to_string(batch.batch_size));
+  }
+  if (config.encoder == models::EncoderKind::kNone) return Status::OK();
+  if (batch.seq_len != config.seq_len ||
+      static_cast<int64_t>(batch.behaviors.size()) !=
+          batch.batch_size * batch.seq_len) {
+    return Status::InvalidArgument(
+        "behaviors must be batch_size x seq_len " +
+        std::to_string(config.seq_len) + ", got seq_len " +
+        std::to_string(batch.seq_len) + " and " +
+        std::to_string(batch.behaviors.size()) + " ids");
+  }
+  for (int64_t id : batch.behaviors) {
+    if (id < 0 || id >= config.vocab_size) {
+      return Status::InvalidArgument("behavior id " + std::to_string(id) +
+                                     " outside vocabulary of " +
+                                     std::to_string(config.vocab_size));
+    }
+  }
+  return Status::OK();
+}
+
 Result<std::vector<float>> ModelServer::PredictOn(
     const std::shared_ptr<Deployment>& deployment, const data::Batch& batch) {
   // Per-deployment lock: the model's forward pass mutates training-mode
@@ -206,6 +241,7 @@ Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
   if (deployment == nullptr) {
     return Status::NotFound("scenario " + scenario + " not deployed");
   }
+  ALT_RETURN_IF_ERROR(ValidateRequest(deployment.get(), batch));
   if (!resilience_enabled_) return PredictOn(deployment, batch);
 
   resilience::CircuitBreaker* breaker = BreakerFor(target);

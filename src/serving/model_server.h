@@ -167,6 +167,12 @@ class ModelServer {
   Status DeployAttempt(const std::string& scenario,
                        std::unique_ptr<models::BaseModel>* model,
                        const DeployOptions& options);
+  /// InvalidArgument unless `batch` fits the deployed model's input contract
+  /// (profile width, sequence length, behavior ids within the vocabulary),
+  /// so a malformed request is refused before it reaches the forward pass's
+  /// internal checks, the breaker, or the fallback.
+  static Status ValidateRequest(Deployment* deployment,
+                                const data::Batch& batch);
   /// The primary (non-degraded) Predict path; hosts the serving/predict
   /// fault point.
   Result<std::vector<float>> PredictOn(

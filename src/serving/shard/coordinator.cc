@@ -346,9 +346,11 @@ Result<std::vector<float>> ShardCoordinator::PredictPreferring(
         return result;
       }
       const Status status = result.status();
-      if (status.code() == StatusCode::kNotFound) {
-        // Deploy-state error, identical on every replica — not a shard
-        // health signal, and failing over would only repeat it.
+      if (status.code() == StatusCode::kNotFound ||
+          status.code() == StatusCode::kInvalidArgument) {
+        // Deploy-state error or a malformed request, identical on every
+        // replica — not a shard health signal, and failing over would only
+        // repeat it.
         return result;
       }
       if (status.code() == StatusCode::kResourceExhausted) {

@@ -1,6 +1,7 @@
 #include "src/tensor/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -171,17 +172,57 @@ void GemmImpl(const float* a, const float* b, float* c, int64_t m, int64_t k,
   BlockedGemm<false>(a, k, b, n, c, m, k, n);
 }
 
-/// C[m,n] += A[k,m]^T B[k,n].
-void GemmTransAImpl(const float* a, const float* b, float* c, int64_t m,
-                    int64_t k, int64_t n) {
+/// Scalar arm of the polynomial activations: op for op the AVX2 arm in
+/// kernels_avx2.cc (ExpParts8, Sigmoid8, Tanh8, LstmCellLanes), with
+/// std::fma wherever that arm issues an FMA, so both return the same bits.
+inline void ExpParts(float u, float* y, float* scale) {
+  const float t = std::fma(u, simd::poly::kLog2e, simd::poly::kRoundMagic);
+  const float n = t - simd::poly::kRoundMagic;
+  float r = std::fma(n, -simd::poly::kLn2Hi, u);
+  r = std::fma(n, -simd::poly::kLn2Lo, r);
+  float p = simd::poly::kP0;
+  p = std::fma(p, r, simd::poly::kP1);
+  p = std::fma(p, r, simd::poly::kP2);
+  p = std::fma(p, r, simd::poly::kP3);
+  p = std::fma(p, r, simd::poly::kP4);
+  p = std::fma(p, r, simd::poly::kP5);
+  p = std::fma(p, r * r, r);
+  *y = p + 1.0f;
+  const uint32_t ni = std::bit_cast<uint32_t>(t) -
+                      static_cast<uint32_t>(simd::poly::kRoundMagicBits);
+  *scale = std::bit_cast<float>((ni + 127u) << 23);
+}
+
+inline float SigmoidPoly(float x) {
+  float u = -x;
+  u = simd::poly::kExpLo > u ? simd::poly::kExpLo : u;
+  u = simd::poly::kExpHi < u ? simd::poly::kExpHi : u;
+  float y, scale;
+  ExpParts(u, &y, &scale);
+  return 1.0f / std::fma(y, scale, 1.0f);
+}
+
+inline float TanhPoly(float x) {
+  float u = std::fabs(x) * -2.0f;
+  u = simd::poly::kExpLo > u ? simd::poly::kExpLo : u;
+  float y, scale;
+  ExpParts(u, &y, &scale);
+  return std::copysign(std::fma(-y, scale, 1.0f) / std::fma(y, scale, 1.0f),
+                       x);
+}
+
+}  // namespace
+
+void GemmTransAAcc(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n) {
   BlockedGemm<true>(a, m, b, n, c, m, k, n);
 }
 
 /// C[m,n] += A[m,k] B[n,k]^T. B is repacked as B^T so the inner loops stream
 /// contiguously; the pack is O(kn) against O(mkn) compute. For very small m
 /// the pack does not amortize, so fall back to sequential dot products.
-void GemmTransBImpl(const float* a, const float* b, float* c, int64_t m,
-                    int64_t k, int64_t n) {
+void GemmTransBAcc(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n) {
   if (m < kMR) {
     const SimdLevel level = ActiveSimdLevel();
     for (int64_t i = 0; i < m; ++i) {
@@ -210,8 +251,6 @@ void GemmTransBImpl(const float* a, const float* b, float* c, int64_t m,
   }
   BlockedGemm<false>(a, k, bt, n, c, m, k, n);
 }
-
-}  // namespace
 
 void VecAxpy(float alpha, const float* x, float* y, int64_t n) {
   const bool avx2 = UseAvx2();
@@ -300,12 +339,51 @@ void RowNormalizeAffine(const float* src, float mean, float istd,
   }
 }
 
-void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
-  ALT_CHECK_EQ(a.ndim(), 2);
-  ALT_CHECK_EQ(b.ndim(), 2);
-  ALT_CHECK_EQ(a.size(1), b.size(0));
-  ALT_CHECK_EQ(c->size(0), a.size(0));
-  ALT_CHECK_EQ(c->size(1), b.size(1));
+void VecSigmoid(const float* x, float* y, int64_t n) {
+  if (UseAvx2()) {
+    simd::VecSigmoidAvx2(x, y, n);
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) y[i] = SigmoidPoly(x[i]);
+}
+
+void VecTanh(const float* x, float* y, int64_t n) {
+  if (UseAvx2()) {
+    simd::VecTanhAvx2(x, y, n);
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) y[i] = TanhPoly(x[i]);
+}
+
+void LstmCell(float* gates, const float* c_prev, float* c, float* tanh_c,
+              float* h, int64_t rows, int64_t hidden) {
+  if (UseAvx2()) {
+    simd::LstmCellAvx2(gates, c_prev, c, tanh_c, h, rows, hidden);
+    return;
+  }
+  for (int64_t r = 0; r < rows; ++r) {
+    float* z = gates + r * 4 * hidden;
+    for (int64_t j = 0; j < hidden; ++j) {
+      const float i = SigmoidPoly(z[j]);
+      const float f = SigmoidPoly(z[hidden + j]);
+      const float g = TanhPoly(z[2 * hidden + j]);
+      const float o = SigmoidPoly(z[3 * hidden + j]);
+      z[j] = i;
+      z[hidden + j] = f;
+      z[2 * hidden + j] = g;
+      z[3 * hidden + j] = o;
+      const float prev = c_prev != nullptr ? c_prev[r * hidden + j] : 0.0f;
+      const float cv = std::fma(f, prev, i * g);
+      const float tcv = TanhPoly(cv);
+      c[r * hidden + j] = cv;
+      tanh_c[r * hidden + j] = tcv;
+      h[r * hidden + j] = o * tcv;
+    }
+  }
+}
+
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+          int64_t n, bool accumulate) {
   // Handles cached per call site; disabled-mode cost is one relaxed load and
   // zero clock reads (the < 3% bench_kernels budget, see DESIGN.md). The
   // per-ISA split needs both handles pre-resolved because the macro latches
@@ -318,8 +396,17 @@ void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
                 ? ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/avx2")
                 : ALT_OBS_HISTOGRAM_HANDLE("tensor/gemm/time_ms/scalar"));
   ALT_OBS_COUNTER_ADD("tensor/gemm/calls_total", 1);
-  GemmImpl(a.data(), b.data(), c->data(), a.size(0), a.size(1), b.size(1),
-           /*accumulate=*/false);
+  GemmImpl(a, b, c, m, k, n, accumulate);
+}
+
+void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
+  ALT_CHECK_EQ(a.ndim(), 2);
+  ALT_CHECK_EQ(b.ndim(), 2);
+  ALT_CHECK_EQ(a.size(1), b.size(0));
+  ALT_CHECK_EQ(c->size(0), a.size(0));
+  ALT_CHECK_EQ(c->size(1), b.size(1));
+  Gemm(a.data(), b.data(), c->data(), a.size(0), a.size(1), b.size(1),
+       /*accumulate=*/false);
 }
 
 void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* c) {
@@ -330,13 +417,13 @@ void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* c) {
 
 void MatMulTransAAcc(const Tensor& a, const Tensor& b, Tensor* c) {
   ALT_CHECK_EQ(a.size(0), b.size(0));
-  GemmTransAImpl(a.data(), b.data(), c->data(), a.size(1), a.size(0),
+  GemmTransAAcc(a.data(), b.data(), c->data(), a.size(1), a.size(0),
                  b.size(1));
 }
 
 void MatMulTransBAcc(const Tensor& a, const Tensor& b, Tensor* c) {
   ALT_CHECK_EQ(a.size(1), b.size(1));
-  GemmTransBImpl(a.data(), b.data(), c->data(), a.size(0), a.size(1),
+  GemmTransBAcc(a.data(), b.data(), c->data(), a.size(0), a.size(1),
                  b.size(0));
 }
 
@@ -379,9 +466,9 @@ void BatchedMatMul(const Tensor& a, bool trans_a, const Tensor& b,
       if (!trans_a && !trans_b) {
         GemmImpl(ap, bp, cp, m, k, n, /*accumulate=*/true);
       } else if (trans_a && !trans_b) {
-        GemmTransAImpl(ap, bp, cp, m, k, n);
+        GemmTransAAcc(ap, bp, cp, m, k, n);
       } else if (!trans_a && trans_b) {
-        GemmTransBImpl(ap, bp, cp, m, k, n);
+        GemmTransBAcc(ap, bp, cp, m, k, n);
       } else {
         // (A^T B^T): rarely needed; do it elementwise.
         for (int64_t i = 0; i < m; ++i) {

@@ -1,6 +1,7 @@
 #ifndef ALT_SRC_TENSOR_KERNELS_H_
 #define ALT_SRC_TENSOR_KERNELS_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include "src/tensor/tensor.h"
@@ -22,7 +23,8 @@ namespace alt {
 /// SIMD dispatch (src/tensor/cpu_features.h): on AVX2+FMA hosts the micro
 /// panels and the row primitives below run the AVX2 implementations from
 /// kernels_avx2.cc unless ALT_SIMD=off forces the scalar path. The two
-/// levels agree to rounding (different but fixed reduction orders); within
+/// levels agree to rounding (different but fixed reduction orders), except
+/// the polynomial activations and LstmCell, which agree bit for bit; within
 /// one level results remain bit-identical across thread counts.
 
 /// y[i] += alpha * x[i]. The shared axpy primitive behind
@@ -51,6 +53,45 @@ void RowMeanVar(const float* x, int64_t n, double* mean, double* var);
 void RowNormalizeAffine(const float* src, float mean, float istd,
                         const float* gamma, const float* beta, float* xhat,
                         float* dst, int64_t n);
+
+/// Numerically stable logistic sigmoid of one value through libm exp: the
+/// one scalar form behind predicted probabilities and the BCE loss.
+inline float StableSigmoid(float z) {
+  return z >= 0.0f ? 1.0f / (1.0f + std::exp(-z))
+                   : std::exp(z) / (1.0f + std::exp(z));
+}
+
+/// y[i] = sigmoid(x[i]) and y[i] = tanh(x[i]) from one range-reduced
+/// polynomial exp instead of libm; within 2.5e-7 absolute of the exact
+/// functions over all finite inputs, and NaN propagates. Unlike the GEMMs,
+/// every SIMD level returns the same bits (see kernels_simd.h). Sequential,
+/// like the row primitives above; x and y may alias.
+void VecSigmoid(const float* x, float* y, int64_t n);
+void VecTanh(const float* x, float* y, int64_t n);
+
+/// Fused LSTM cell over `rows` rows of `hidden` units, gate order
+/// (input, forget, cell, output). `gates` [rows, 4H] holds the
+/// pre-activations on entry and the activations (sigma(i), sigma(f),
+/// tanh(g), sigma(o)) on return; then c = f * c_prev + i * g,
+/// tanh_c = tanh(c), h = o * tanh_c, all [rows, H]. `c_prev == nullptr`
+/// means a zero cell state. The activations are VecSigmoid/VecTanh's, bit
+/// for bit, and every SIMD level returns the same bits. Sequential.
+void LstmCell(float* gates, const float* c_prev, float* c, float* tanh_c,
+              float* h, int64_t rows, int64_t hidden);
+
+/// Raw-pointer GEMMs over dense row-major blocks, for ops that address
+/// sub-blocks of one buffer (ag::Lstm's per-timestep slices). Same blocking,
+/// dispatch and thread-count determinism as the Tensor forms below.
+/// C[m,n] (+)= A[m,k] * B[k,n]. Like MatMul, counted in
+/// tensor/gemm/calls_total and timed in tensor/gemm/time_ms/<level>.
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
+          int64_t n, bool accumulate);
+/// C[m,n] += A[k,m]^T * B[k,n].
+void GemmTransAAcc(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n);
+/// C[m,n] += A[m,k] * B[n,k]^T.
+void GemmTransBAcc(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n);
 
 /// C = A[m,k] * B[k,n]. Overwrites C.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* c);

@@ -352,6 +352,118 @@ void RowNormalizeAffineAvx2(const float* src, float mean, float istd,
 
 namespace {
 
+/// e^u = *y * *scale for 8 lanes of u already clamped to
+/// [poly::kExpLo, poly::kExpHi]; op for op the scalar ExpParts in
+/// kernels.cc.
+inline void ExpParts8(__m256 u, __m256* y, __m256* scale) {
+  const __m256 magic = _mm256_set1_ps(poly::kRoundMagic);
+  const __m256 t = _mm256_fmadd_ps(u, _mm256_set1_ps(poly::kLog2e), magic);
+  const __m256 n = _mm256_sub_ps(t, magic);
+  __m256 r = _mm256_fmadd_ps(n, _mm256_set1_ps(-poly::kLn2Hi), u);
+  r = _mm256_fmadd_ps(n, _mm256_set1_ps(-poly::kLn2Lo), r);
+  __m256 p = _mm256_set1_ps(poly::kP0);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(poly::kP1));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(poly::kP2));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(poly::kP3));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(poly::kP4));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(poly::kP5));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+  *y = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  const __m256i ni = _mm256_sub_epi32(_mm256_castps_si256(t),
+                                      _mm256_set1_epi32(poly::kRoundMagicBits));
+  *scale = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_add_epi32(ni, _mm256_set1_epi32(127)), 23));
+}
+
+/// 1 / (1 + e^-x). The clamps keep max/min operand order so a NaN input
+/// propagates, exactly as the scalar `lo > u ? lo : u` does.
+inline __m256 Sigmoid8(__m256 x) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  __m256 u = _mm256_xor_ps(x, sign);
+  u = _mm256_max_ps(_mm256_set1_ps(poly::kExpLo), u);
+  u = _mm256_min_ps(_mm256_set1_ps(poly::kExpHi), u);
+  __m256 y, scale;
+  ExpParts8(u, &y, &scale);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  return _mm256_div_ps(one, _mm256_fmadd_ps(y, scale, one));
+}
+
+/// sign(x) (1 - e) / (1 + e) with e = e^(-2|x|).
+inline __m256 Tanh8(__m256 x) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  __m256 u = _mm256_mul_ps(_mm256_andnot_ps(sign, x), _mm256_set1_ps(-2.0f));
+  u = _mm256_max_ps(_mm256_set1_ps(poly::kExpLo), u);
+  __m256 y, scale;
+  ExpParts8(u, &y, &scale);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 t = _mm256_div_ps(_mm256_fnmadd_ps(y, scale, one),
+                                 _mm256_fmadd_ps(y, scale, one));
+  return _mm256_or_ps(t, _mm256_and_ps(x, sign));
+}
+
+template <typename Fn>
+inline void MapActivation(const float* x, float* y, int64_t n, Fn fn) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, fn(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __m256i mask = TailMask(n - i);
+    _mm256_maskstore_ps(y + i, mask, fn(_mm256_maskload_ps(x + i, mask)));
+  }
+}
+
+/// One 8-lane (masked) slice [j, j + 8) of a cell row.
+inline void LstmCellLanes(float* z, const float* cp, float* c, float* tc,
+                          float* h, int64_t hidden, int64_t j, __m256i mask) {
+  const __m256 i = Sigmoid8(_mm256_maskload_ps(z + j, mask));
+  const __m256 f = Sigmoid8(_mm256_maskload_ps(z + hidden + j, mask));
+  const __m256 g = Tanh8(_mm256_maskload_ps(z + 2 * hidden + j, mask));
+  const __m256 o = Sigmoid8(_mm256_maskload_ps(z + 3 * hidden + j, mask));
+  _mm256_maskstore_ps(z + j, mask, i);
+  _mm256_maskstore_ps(z + hidden + j, mask, f);
+  _mm256_maskstore_ps(z + 2 * hidden + j, mask, g);
+  _mm256_maskstore_ps(z + 3 * hidden + j, mask, o);
+  const __m256 prev =
+      cp != nullptr ? _mm256_maskload_ps(cp + j, mask) : _mm256_setzero_ps();
+  const __m256 cv = _mm256_fmadd_ps(f, prev, _mm256_mul_ps(i, g));
+  const __m256 tcv = Tanh8(cv);
+  _mm256_maskstore_ps(c + j, mask, cv);
+  _mm256_maskstore_ps(tc + j, mask, tcv);
+  _mm256_maskstore_ps(h + j, mask, _mm256_mul_ps(o, tcv));
+}
+
+}  // namespace
+
+void VecSigmoidAvx2(const float* x, float* y, int64_t n) {
+  MapActivation(x, y, n, [](__m256 v) { return Sigmoid8(v); });
+}
+
+void VecTanhAvx2(const float* x, float* y, int64_t n) {
+  MapActivation(x, y, n, [](__m256 v) { return Tanh8(v); });
+}
+
+void LstmCellAvx2(float* gates, const float* c_prev, float* c, float* tanh_c,
+                  float* h, int64_t rows, int64_t hidden) {
+  const __m256i full = _mm256_set1_epi32(-1);
+  for (int64_t r = 0; r < rows; ++r) {
+    float* z = gates + r * 4 * hidden;
+    const float* cp = c_prev != nullptr ? c_prev + r * hidden : nullptr;
+    float* cr = c + r * hidden;
+    float* tr = tanh_c + r * hidden;
+    float* hr = h + r * hidden;
+    int64_t j = 0;
+    for (; j + 8 <= hidden; j += 8) {
+      LstmCellLanes(z, cp, cr, tr, hr, hidden, j, full);
+    }
+    if (j < hidden) {
+      LstmCellLanes(z, cp, cr, tr, hr, hidden, j, TailMask(hidden - j));
+    }
+  }
+}
+
+namespace {
+
 /// Sign-extends 32 int8 values into two 16-lane int16 vectors.
 inline void Cvt32(const int8_t* p, __m256i* lo, __m256i* hi) {
   const __m256i v =
@@ -511,6 +623,12 @@ double RowSumAvx2(const float*, int64_t) { AbortUnavailable(); }
 void RowMeanVarAvx2(const float*, int64_t, double*, double*) { AbortUnavailable(); }
 void RowNormalizeAffineAvx2(const float*, float, float, const float*,
                             const float*, float*, float*, int64_t) {
+  AbortUnavailable();
+}
+void VecSigmoidAvx2(const float*, float*, int64_t) { AbortUnavailable(); }
+void VecTanhAvx2(const float*, float*, int64_t) { AbortUnavailable(); }
+void LstmCellAvx2(float*, const float*, float*, float*, float*, int64_t,
+                  int64_t) {
   AbortUnavailable();
 }
 int32_t Int8DotAvx2(const int8_t*, const int8_t*, int64_t) { AbortUnavailable(); }

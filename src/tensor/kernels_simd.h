@@ -57,6 +57,43 @@ void RowNormalizeAffineAvx2(const float* src, float mean, float istd,
                             const float* gamma, const float* beta,
                             float* xhat, float* dst, int64_t n);
 
+/// Polynomial activations and the fused LSTM cell (kernels.h VecSigmoid,
+/// VecTanh, LstmCell). Unlike the GEMM panels these are bit-identical to
+/// the scalar arm in kernels.cc: both evaluate the same op sequence on the
+/// constants below, every multiply-add is an explicit FMA (std::fma in the
+/// scalar arm), and no plain multiply feeds a plain add, so fp-contraction
+/// cannot fuse differently in the two translation units. Tails use masked
+/// vectors, so every element takes the same path. The AVX-512 level reuses
+/// these.
+void VecSigmoidAvx2(const float* x, float* y, int64_t n);
+void VecTanhAvx2(const float* x, float* y, int64_t n);
+void LstmCellAvx2(float* gates, const float* c_prev, float* c, float* tanh_c,
+                  float* h, int64_t rows, int64_t hidden);
+
+/// The shared polynomial exp: e^u = y * 2^n for u clamped to
+/// [kExpLo, kExpHi] (so 2^n stays a normal float), with
+///   n = round(u * log2 e)           via fma(u, kLog2e, kRoundMagic) - magic
+///   r = u - n * ln 2                two-step Cody-Waite (kLn2Hi, kLn2Lo)
+///   y = 1 + r + r^2 * P(r)          Cephes expf minimax, P of degree 5
+///   2^n                             (n + 127) << 23 from the bits of t.
+/// Sigmoid is 1 / (1 + e^-x); tanh is sign(x) (1 - e) / (1 + e) with
+/// e = e^(-2|x|), which keeps 1 - e free of cancellation error.
+namespace poly {
+inline constexpr float kExpLo = -87.0f;
+inline constexpr float kExpHi = 88.0f;
+inline constexpr float kLog2e = 1.44269504088896341f;
+inline constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
+inline constexpr int32_t kRoundMagicBits = 0x4b400000;
+inline constexpr float kLn2Hi = 0.693359375f;
+inline constexpr float kLn2Lo = -2.12194440e-4f;
+inline constexpr float kP0 = 1.9875691500e-4f;
+inline constexpr float kP1 = 1.3981999507e-3f;
+inline constexpr float kP2 = 8.3334519073e-3f;
+inline constexpr float kP3 = 4.1665795894e-2f;
+inline constexpr float kP4 = 1.6666665459e-1f;
+inline constexpr float kP5 = 5.0000001201e-1f;
+}  // namespace poly
+
 /// sum_p a[p] * b[p] over int8 operands with exact int32 accumulation
 /// (sign-extend to int16, _mm256_madd_epi16). Bit-identical to the scalar
 /// reference for any order because integer addition is associative.

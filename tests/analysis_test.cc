@@ -169,6 +169,48 @@ TEST(GraphAuditTest, FlopsMatchesNasBudgetModel) {
   EXPECT_EQ(report.per_op.at("conv1d").count, 2);  // conv3 + dconv5.
 }
 
+TEST(GraphAuditTest, FlopsMatchesNasBudgetModelWithLstm) {
+  // Same Eq. 4 check with an `lstm` layer: the fused op records one node
+  // whose FLOPs follow LstmLayer::Flops, so the recorded graph still tracks
+  // the budget model.
+  nas::Architecture arch;
+  arch.dim = 8;
+  nas::LayerSpec l0;
+  l0.input = 0;
+  l0.op = nas::OpSpec::FromString("lstm").value();
+  l0.residuals = {true};
+  nas::LayerSpec l1;
+  l1.input = 1;
+  l1.op = nas::OpSpec::FromString("conv3").value();
+  l1.residuals = {false, true};
+  nas::LayerSpec l2;
+  l2.input = 1;
+  l2.op = nas::OpSpec::FromString("lstm").value();
+  l2.residuals = {true, false, true};
+  arch.layers = {l0, l1, l2};
+  ASSERT_TRUE(arch.Validate().ok());
+
+  const int64_t seq_len = 16;
+  Rng rng(12);
+  nas::DerivedNasEncoder encoder(arch, &rng);
+  ag::Variable probe =
+      ag::Variable::Constant(Tensor::Zeros({1, seq_len, arch.dim}));
+  GraphReport report = AuditGraph(encoder.Encode(probe));
+
+  EXPECT_TRUE(report.clean());
+  const int64_t budget = arch.Flops(seq_len);
+  const double rel_err =
+      std::abs(static_cast<double>(report.total_flops - budget)) /
+      static_cast<double>(budget);
+  EXPECT_LE(rel_err, 0.01)
+      << "graph=" << report.total_flops << " budget=" << budget;
+  ASSERT_EQ(report.per_op.count("lstm"), 1u);
+  EXPECT_EQ(report.per_op.at("lstm").count, 2);
+  EXPECT_EQ(report.per_op.at("lstm").flops,
+            2 * nas::OpSpec::FromString("lstm").value().Flops(seq_len,
+                                                              arch.dim));
+}
+
 TEST(GraphAuditTest, ToStringRendersTablesAndFindings) {
   ag::Variable w = ag::Variable::Parameter(Tensor::Zeros({2, 2}));
   ag::Variable loss = ag::SumAll(ag::Mul(w, w));

@@ -233,6 +233,19 @@ TEST(GradCheckExtra, EmbeddingLookup) {
       {&w, &dummy});
 }
 
+TEST(GradCheckExtra, LstmAllInputs) {
+  Rng rng(17);
+  Variable x = Variable::Parameter(Tensor::Randn({2, 3, 3}, &rng, 0.8f));
+  Variable w_x = Variable::Parameter(Tensor::Randn({3, 8}, &rng, 0.5f));
+  Variable w_h = Variable::Parameter(Tensor::Randn({2, 8}, &rng, 0.5f));
+  Variable bias = Variable::Parameter(Tensor::Randn({8}, &rng, 0.5f));
+  Variable coeff = Variable::Constant(Tensor::Randn({2, 3, 2}, &rng));
+  ExpectGradientsClose(
+      [&]() { return SumAll(Mul(Lstm(x, w_x, w_h, bias), coeff)); },
+      {&x, &w_x, &w_h, &bias}, /*eps=*/1e-2f, /*rtol=*/3e-2f,
+      /*atol=*/3e-3f);
+}
+
 }  // namespace
 }  // namespace ag
 }  // namespace alt

@@ -517,6 +517,127 @@ TEST(SimdParityTest, RowPrimitivesUnalignedMatchScalarAtEveryLevel) {
   }
 }
 
+TEST(SimdParityTest, PolynomialActivationsAndLstmCellBitIdenticalAtEveryLevel) {
+  // VecSigmoid, VecTanh and LstmCell share one polynomial exp whose scalar
+  // arm repeats the vector arm op for op, so unlike the GEMMs they must
+  // return the same bits at every level, over ragged lengths (masked tails)
+  // and unaligned pointers.
+  SimdLevelGuard sguard;
+  const std::vector<SimdLevel> levels = AvailableSimdLevels();
+  Rng rng(44);
+  for (int64_t n : {1, 3, 7, 8, 9, 15, 16, 17, 31, 33, 100, 1027}) {
+    for (int64_t offset : {0, 1, 3}) {
+      std::vector<float> xbuf(static_cast<size_t>(n + offset));
+      for (auto& v : xbuf) v = static_cast<float>(rng.Uniform(-12.0, 12.0));
+      const float* x = xbuf.data() + offset;
+      ASSERT_TRUE(SetSimdLevel(SimdLevel::kScalar));
+      std::vector<float> sig_ref(static_cast<size_t>(n));
+      std::vector<float> tanh_ref(static_cast<size_t>(n));
+      VecSigmoid(x, sig_ref.data(), n);
+      VecTanh(x, tanh_ref.data(), n);
+      for (SimdLevel level : levels) {
+        ASSERT_TRUE(SetSimdLevel(level));
+        std::vector<float> ybuf(static_cast<size_t>(n + offset), -7.0f);
+        float* y = ybuf.data() + offset;
+        VecSigmoid(x, y, n);
+        ASSERT_EQ(std::memcmp(y, sig_ref.data(), n * sizeof(float)), 0)
+            << "vec_sigmoid " << SimdLevelName(level) << " n=" << n;
+        VecTanh(x, y, n);
+        ASSERT_EQ(std::memcmp(y, tanh_ref.data(), n * sizeof(float)), 0)
+            << "vec_tanh " << SimdLevelName(level) << " n=" << n;
+        for (int64_t i = 0; i < offset; ++i) ASSERT_EQ(ybuf[i], -7.0f);
+      }
+    }
+  }
+
+  for (int64_t hidden : {1, 5, 8, 9, 15, 16, 17}) {
+    for (int64_t offset : {0, 1, 3}) {
+      for (bool has_prev : {false, true}) {
+        const int64_t rows = 3;
+        const size_t g = static_cast<size_t>(rows * 4 * hidden + offset);
+        const size_t h = static_cast<size_t>(rows * hidden + offset);
+        std::vector<float> gates_in(g), prev(h);
+        for (auto& v : gates_in) v = static_cast<float>(rng.Uniform(-6.0, 6.0));
+        for (auto& v : prev) v = static_cast<float>(rng.Uniform(-3.0, 3.0));
+        std::vector<std::vector<float>> ref;
+        for (SimdLevel level : levels) {
+          ASSERT_TRUE(SetSimdLevel(level));
+          std::vector<float> gates = gates_in;
+          std::vector<float> c(h, -7.0f), tc(h, -7.0f), hs(h, -7.0f);
+          LstmCell(gates.data() + offset,
+                   has_prev ? prev.data() + offset : nullptr,
+                   c.data() + offset, tc.data() + offset, hs.data() + offset,
+                   rows, hidden);
+          std::vector<std::vector<float>> got = {gates, c, tc, hs};
+          if (ref.empty()) {
+            ref = got;
+            // The cell's activations are VecSigmoid/VecTanh's, bit for bit.
+            std::vector<float> want(static_cast<size_t>(hidden));
+            for (int64_t r = 0; r < rows; ++r) {
+              const float* z = gates_in.data() + offset + r * 4 * hidden;
+              const float* a = gates.data() + offset + r * 4 * hidden;
+              VecTanh(z + 2 * hidden, want.data(), hidden);
+              ASSERT_EQ(std::memcmp(a + 2 * hidden, want.data(),
+                                    hidden * sizeof(float)), 0);
+              VecSigmoid(z + 3 * hidden, want.data(), hidden);
+              ASSERT_EQ(std::memcmp(a + 3 * hidden, want.data(),
+                                    hidden * sizeof(float)), 0);
+            }
+            continue;
+          }
+          for (size_t k = 0; k < got.size(); ++k) {
+            ASSERT_EQ(got[k], ref[k]) << "lstm_cell " << SimdLevelName(level)
+                                      << " hidden=" << hidden << " array "
+                                      << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdParityTest, PolynomialActivationsMatchDoubleReference) {
+  SimdLevelGuard sguard;
+  const int64_t n = 400001;
+  std::vector<float> x(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    x[static_cast<size_t>(i)] =
+        -40.0f + 80.0f * static_cast<float>(i) / static_cast<float>(n - 1);
+  }
+  std::vector<float> sig(x.size()), th(x.size());
+  for (SimdLevel level : AvailableSimdLevels()) {
+    ASSERT_TRUE(SetSimdLevel(level));
+    VecSigmoid(x.data(), sig.data(), n);
+    VecTanh(x.data(), th.data(), n);
+    double sig_err = 0.0, tanh_err = 0.0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const double xd = x[i];
+      sig_err =
+          std::max(sig_err, std::fabs(sig[i] - 1.0 / (1.0 + std::exp(-xd))));
+      tanh_err = std::max(tanh_err, std::fabs(th[i] - std::tanh(xd)));
+    }
+    EXPECT_LE(sig_err, 2.5e-7) << SimdLevelName(level);
+    EXPECT_LE(tanh_err, 2.5e-7) << SimdLevelName(level);
+  }
+  // Saturation, signed zero and NaN.
+  const float edge[] = {-1e30f, -100.0f, -0.0f, 0.0f, 100.0f, 1e30f};
+  float out[6];
+  VecSigmoid(edge, out, 6);
+  EXPECT_LT(out[0], 1e-30f);
+  EXPECT_EQ(out[2], 0.5f);
+  EXPECT_EQ(out[5], 1.0f);
+  VecTanh(edge, out, 6);
+  EXPECT_EQ(out[0], -1.0f);
+  EXPECT_TRUE(std::signbit(out[2]));
+  EXPECT_EQ(out[3], 0.0f);
+  EXPECT_EQ(out[5], 1.0f);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  VecSigmoid(&nan, out, 1);
+  EXPECT_TRUE(std::isnan(out[0]));
+  VecTanh(&nan, out, 1);
+  EXPECT_TRUE(std::isnan(out[0]));
+}
+
 TEST(SimdParityTest, Int8MatMulBitIdenticalAcrossLevelsAndThreads) {
   // Exact int32 accumulation: the int8 GEMM result must not depend on the
   // SIMD level (scalar / madd / VNNI fast path), the column partition, or

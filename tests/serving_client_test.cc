@@ -69,6 +69,39 @@ TEST(ServingClientTest, DeployPredictUndeployRoundTrip) {
             StatusCode::kNotFound);
 }
 
+TEST(ServingClientTest, MalformedRequestsAreRefusedNotFatal) {
+  // A request that does not fit the deployed model's input contract comes
+  // back as InvalidArgument instead of aborting the process in the forward
+  // pass, and it does not count against any shard: the scenario keeps
+  // serving good requests on every shard.
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(2, 2), &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(11)).ok());
+
+  data::Batch id_out_of_vocab = OneSample(12);
+  id_out_of_vocab.behaviors = {0, 1, 2, 3, 8};  // The vocabulary is 8.
+  data::Batch negative_id = OneSample(12);
+  negative_id.behaviors = {0, -1, 2, 3, 4};
+  data::Batch short_sequence = OneSample(13);
+  short_sequence.seq_len = 4;
+  short_sequence.behaviors = {0, 1, 2, 3};
+  data::Batch narrow_profile = OneSample(14);
+  Rng rng(15);
+  narrow_profile.profiles = Tensor::Randn({1, 3}, &rng);
+  for (const data::Batch& bad :
+       {id_out_of_vocab, negative_id, short_sequence, narrow_profile}) {
+    for (int repeat = 0; repeat < 8; ++repeat) {
+      EXPECT_EQ(client.Predict("s", bad).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
+
+  auto good = client.Predict("s", OneSample(16));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good.value().size(), 1u);
+  EXPECT_EQ(client.GetStats().live_shards, 2);
+}
+
 TEST(ServingClientTest, SingleShardDefaultMatchesClassicServing) {
   obs::MetricsRegistry registry;
   ServingClient client(ServingClient::Options{}, &registry);

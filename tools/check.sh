@@ -242,8 +242,11 @@ if wants simd-parity; then
   # forced to the scalar contract. The parity suites inside compare the
   # levels against each other; this stage additionally proves the whole
   # kernel/quant/autograd surface still passes when SIMD is off entirely
-  # (the fallback every non-x86 or ALT_SIMD=off deployment runs).
+  # (the fallback every non-x86 or ALT_SIMD=off deployment runs). The nn
+  # gradient checks and the fused-LSTM tests run the scalar arm of the
+  # polynomial activations and the LSTM cell kernel.
   SIMD_PARITY_TESTS="kernels_test|kernel_parity_test|quant_test|autograd_test"
+  SIMD_PARITY_TESTS="${SIMD_PARITY_TESTS}|nn_grad_check_test|lstm_op_test"
   echo "==> simd-parity stage (ALT_SIMD=off over kernel-layer tests)"
   ALT_SIMD=off ctest --test-dir build --output-on-failure \
     -R "^(${SIMD_PARITY_TESTS})$"
