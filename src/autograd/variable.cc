@@ -7,6 +7,16 @@
 namespace alt {
 namespace ag {
 
+namespace {
+thread_local bool grad_enabled = true;
+}  // namespace
+
+NoGradGuard::NoGradGuard() : previous_(grad_enabled) { grad_enabled = false; }
+
+NoGradGuard::~NoGradGuard() { grad_enabled = previous_; }
+
+bool GradEnabled() { return grad_enabled; }
+
 Variable Variable::Parameter(Tensor value) {
   auto node = std::make_shared<Node>();
   node->value = std::move(value);
@@ -28,6 +38,7 @@ Variable MakeOpNode(Tensor value, std::vector<std::shared_ptr<Node>> parents,
   node->value = std::move(value);
   node->op_name = op_name;
   node->flops = flops == kFlopsElementwise ? node->value.numel() : flops;
+  if (!grad_enabled) return Variable(std::move(node));
   node->parents = std::move(parents);
   for (const auto& p : node->parents) {
     if (p->requires_grad) {

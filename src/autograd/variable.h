@@ -98,8 +98,29 @@ class Variable {
   std::shared_ptr<Node> node_;
 };
 
+/// Grad mode. While a NoGradGuard is alive on a thread, every op that thread
+/// builds records only its value: no parents, no backward_fn, requires_grad
+/// false, so an eval forward keeps no tape and frees each intermediate as
+/// soon as its consumer has run. The flag is thread-local: a guard on one
+/// thread never changes what another thread records. Guards nest; each
+/// restores the mode it found.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool previous_;
+};
+
+/// False while a NoGradGuard is alive on the calling thread.
+bool GradEnabled();
+
 /// Creates an op node: `value` is the forward result, `parents` its inputs,
-/// `backward_fn` the gradient rule. requires_grad is inherited from parents.
+/// `backward_fn` the gradient rule. requires_grad is inherited from parents
+/// (always false under NoGradGuard, which also drops parents and rule).
 /// `op_name` must be a static string naming the op; `flops` is the op's
 /// forward cost for the recorded shapes (kFlopsElementwise = one FLOP per
 /// output element, the default for elementwise ops).

@@ -72,20 +72,26 @@ Batch MakeFullBatch(const ScenarioData& scenario_data) {
   return MakeBatch(scenario_data, indices);
 }
 
-std::pair<ScenarioData, ScenarioData> SplitTrainTest(
-    const ScenarioData& scenario_data, double test_fraction, Rng* rng) {
+std::pair<std::vector<size_t>, std::vector<size_t>> SplitIndices(
+    int64_t num_samples, double test_fraction, Rng* rng) {
   ALT_CHECK_GE(test_fraction, 0.0);
   ALT_CHECK_LT(test_fraction, 1.0);
-  std::vector<size_t> indices(
-      static_cast<size_t>(scenario_data.num_samples()));
+  std::vector<size_t> indices(static_cast<size_t>(num_samples));
   for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   rng->Shuffle(&indices);
   const size_t test_count = static_cast<size_t>(
       test_fraction * static_cast<double>(indices.size()));
   std::vector<size_t> test_idx(indices.begin(),
                                indices.begin() + static_cast<long>(test_count));
-  std::vector<size_t> train_idx(
-      indices.begin() + static_cast<long>(test_count), indices.end());
+  indices.erase(indices.begin(),
+                indices.begin() + static_cast<long>(test_count));
+  return {std::move(indices), std::move(test_idx)};
+}
+
+std::pair<ScenarioData, ScenarioData> SplitTrainTest(
+    const ScenarioData& scenario_data, double test_fraction, Rng* rng) {
+  auto [train_idx, test_idx] =
+      SplitIndices(scenario_data.num_samples(), test_fraction, rng);
   return {scenario_data.Subset(train_idx), scenario_data.Subset(test_idx)};
 }
 

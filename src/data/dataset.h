@@ -52,8 +52,12 @@ Batch MakeBatch(const ScenarioData& scenario_data,
 /// Materializes the whole scenario as one batch (used for evaluation).
 Batch MakeFullBatch(const ScenarioData& scenario_data);
 
-/// Deterministically splits into (train, test) with `test_fraction` of rows
-/// in the test part, after shuffling with `rng`.
+/// Deterministically splits row indices 0..num_samples-1 into (train, test)
+/// with `test_fraction` of them in the test part, after shuffling with `rng`.
+std::pair<std::vector<size_t>, std::vector<size_t>> SplitIndices(
+    int64_t num_samples, double test_fraction, Rng* rng);
+
+/// The rows of SplitIndices(scenario_data.num_samples(), ...) as data.
 std::pair<ScenarioData, ScenarioData> SplitTrainTest(
     const ScenarioData& scenario_data, double test_fraction, Rng* rng);
 

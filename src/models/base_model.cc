@@ -52,6 +52,7 @@ ag::Variable BaseModel::Forward(const data::Batch& batch, Rng* dropout_rng) {
 std::vector<float> BaseModel::PredictProbs(const data::Batch& batch) {
   const bool was_training = training();
   SetTraining(false);
+  ag::NoGradGuard no_grad;
   Tensor logits = Forward(batch).value();
   SetTraining(was_training);
   std::vector<float> probs(static_cast<size_t>(logits.numel()));

@@ -30,7 +30,9 @@ class BaseModel : public nn::Module {
   /// module is in training mode.
   ag::Variable Forward(const data::Batch& batch, Rng* dropout_rng = nullptr);
 
-  /// Eval-mode predicted probabilities for a batch.
+  /// Eval-mode predicted probabilities for a batch, computed under
+  /// ag::NoGradGuard (no tape). Row r depends only on row r of `batch`,
+  /// bit for bit, whatever the batch's size or order.
   std::vector<float> PredictProbs(const data::Batch& batch);
 
   /// Approximate inference FLOPs for one sample (the paper's efficiency

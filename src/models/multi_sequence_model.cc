@@ -78,6 +78,7 @@ std::vector<float> MultiSequenceModel::PredictProbs(
     const MultiSequenceBatch& batch) {
   const bool was_training = training();
   SetTraining(false);
+  ag::NoGradGuard no_grad;
   Tensor logits = Forward(batch).value();
   SetTraining(was_training);
   std::vector<float> probs(static_cast<size_t>(logits.numel()));

@@ -53,6 +53,7 @@ class MultiSequenceModel : public nn::Module {
   ag::Variable Forward(const MultiSequenceBatch& batch,
                        Rng* dropout_rng = nullptr);
 
+  /// Eval-mode probabilities, computed under ag::NoGradGuard (no tape).
   std::vector<float> PredictProbs(const MultiSequenceBatch& batch);
 
   int64_t FlopsPerSample() const;

@@ -18,23 +18,12 @@ namespace nas {
 
 namespace {
 
-/// The Eq. 5 loss: CE(student, hard) + delta * CE(student, teacher_soft).
-/// Teacher may be null (hard labels only).
-ag::Variable DistillLoss(models::BaseModel* student,
-                         models::BaseModel* teacher, const data::Batch& batch,
-                         float delta, Rng* dropout_rng) {
-  ag::Variable logits = student->Forward(batch, dropout_rng);
-  ag::Variable hard = ag::Variable::Constant(batch.labels);
-  ag::Variable loss = ag::BCEWithLogits(logits, hard);
-  if (teacher != nullptr && delta > 0.0f) {
-    std::vector<float> soft_probs = teacher->PredictProbs(batch);
-    Tensor soft = Tensor::FromVector({batch.batch_size, 1}, soft_probs);
-    loss = ag::Add(
-        loss, ag::ScalarMul(
-                  ag::BCEWithLogits(logits, ag::Variable::Constant(soft)),
-                  delta));
-  }
-  return loss;
+/// Rows of the full train data behind split-local batch indices.
+std::vector<size_t> Rows(const std::vector<size_t>& split,
+                         const std::vector<size_t>& local) {
+  std::vector<size_t> rows(local.size());
+  for (size_t i = 0; i < local.size(); ++i) rows[i] = split[local[i]];
+  return rows;
 }
 
 }  // namespace
@@ -65,12 +54,25 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
       supernet_config, std::move(supernet), &rng);
 
   // 2. Alternating bilevel optimization (weights on train split, arch on
-  //    validation split, Eq. 4).
+  //    validation split, Eq. 4). Both splits are row lists into
+  //    `train_data`, so their batches read the one soft-label table.
   Rng split_rng = rng.Fork();
-  auto [w_train, w_val] =
-      data::SplitTrainTest(train_data, options.val_fraction, &split_rng);
-  if (w_train.num_samples() == 0 || w_val.num_samples() == 0) {
+  auto [w_train, w_val] = data::SplitIndices(train_data.num_samples(),
+                                             options.val_fraction, &split_rng);
+  const int64_t num_train = static_cast<int64_t>(w_train.size());
+  const int64_t num_val = static_cast<int64_t>(w_val.size());
+  if (num_train == 0 || num_val == 0) {
     return Status::InvalidArgument("train data too small to split for NAS");
+  }
+  // The teacher's soft labels for every row, from one tape-free pass; the
+  // search and the final training both read them. Derived state: a resumed
+  // search rebuilds the identical table instead of checkpointing it.
+  const bool distill = teacher != nullptr && options.distill_delta > 0.0f;
+  std::vector<float> soft_labels;
+  if (distill) {
+    ALT_ASSIGN_OR_RETURN(soft_labels, train::SoftLabelTable(
+                                          teacher, train_data,
+                                          options.batch_size));
   }
 
   std::vector<ag::Variable*> arch_params = supernet_ptr->ArchParameters();
@@ -89,8 +91,7 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
   int64_t step = 0;
   const int64_t total_steps = std::max<int64_t>(
       1, options.search_epochs *
-             ((w_train.num_samples() + options.batch_size - 1) /
-              options.batch_size));
+             ((num_train + options.batch_size - 1) / options.batch_size));
 
   // Checkpoint/resume: the advancing state of the bilevel loop is the
   // supernet weights (arch logits included), both Adam moments, and the
@@ -138,10 +139,10 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
 
   for (int64_t epoch = start_epoch; epoch < options.search_epochs; ++epoch) {
     auto val_batches = data::ShuffledBatchIndices(
-        w_val.num_samples(), options.batch_size, &batch_rng);
+        num_val, options.batch_size, &batch_rng);
     size_t val_cursor = 0;
     for (const auto& train_idx : data::ShuffledBatchIndices(
-             w_train.num_samples(), options.batch_size, &batch_rng)) {
+             num_train, options.batch_size, &batch_rng)) {
       obs::ScopedTimerMs step_timer(step_time);
       // Anneal the Gumbel temperature from tau_start to tau_end.
       const double progress =
@@ -151,11 +152,12 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
       ++step;
 
       // Weight step on the train split.
-      data::Batch train_batch = MakeBatch(w_train, train_idx);
+      const std::vector<size_t> train_rows = Rows(w_train, train_idx);
+      data::Batch train_batch = MakeBatch(train_data, train_rows);
       model->ZeroGrad();
-      ag::Variable train_loss = DistillLoss(
-          model.get(), teacher, train_batch, options.distill_delta,
-          &dropout_rng);
+      ag::Variable train_loss = train::DistillLoss(
+          model->Forward(train_batch, &dropout_rng), train_batch, train_rows,
+          soft_labels, options.distill_delta);
       if (options.audit_graph && step == 1) {
         // Structural checks only: Gumbel sampling legitimately leaves the
         // unsampled candidates' weights out of any single step's graph, so
@@ -172,12 +174,14 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
       weight_opt.Step();
 
       // Architecture step on the validation split (Eq. 4).
-      data::Batch val_batch =
-          MakeBatch(w_val, val_batches[val_cursor % val_batches.size()]);
+      const std::vector<size_t> val_rows =
+          Rows(w_val, val_batches[val_cursor % val_batches.size()]);
       ++val_cursor;
+      data::Batch val_batch = MakeBatch(train_data, val_rows);
       model->ZeroGrad();
-      ag::Variable val_loss = DistillLoss(model.get(), teacher, val_batch,
-                                          options.distill_delta, &dropout_rng);
+      ag::Variable val_loss = train::DistillLoss(
+          model->Forward(val_batch, &dropout_rng), val_batch, val_rows,
+          soft_labels, options.distill_delta);
       val_loss =
           ag::Add(val_loss,
                   ag::ScalarMul(
@@ -234,7 +238,8 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
   if (report != nullptr) {
     report->arch = arch;
     report->encoder_flops = arch.Flops(supernet_config.seq_len);
-    report->supernet_val_auc = train::EvaluateAuc(model.get(), w_val);
+    report->supernet_val_auc =
+        train::EvaluateAuc(model.get(), train_data.Subset(w_val));
   }
 
   // 4. Train a fresh model with the derived encoder on the full train data.
@@ -275,9 +280,9 @@ Result<std::unique_ptr<models::BaseModel>> SearchLightModel(
   final_train.audit_graph = options.audit_graph;
   {
     ALT_TRACE_SPAN(final_train_span, "nas/final_train");
-    if (teacher != nullptr && options.distill_delta > 0.0f) {
+    if (distill) {
       ALT_RETURN_IF_ERROR(
-          TrainWithDistillation(final_model.get(), teacher, train_data,
+          TrainWithDistillation(final_model.get(), soft_labels, train_data,
                                 options.distill_delta, final_train)
               .status());
     } else {

@@ -68,6 +68,11 @@ struct NasSearchReport {
 ///  2. derives the max-joint-probability architecture under the budget;
 ///  3. trains a fresh model with the derived encoder (again distilling);
 ///  4. returns the trained scenario specific light model.
+/// The teacher is read once per search: train::SoftLabelTable labels every
+/// row of `train_data` in one tape-free pass before step 1, and both the
+/// search splits (row lists into `train_data`) and the final training look
+/// their rows up in that table. The table is rebuilt, not checkpointed, so
+/// a resumed search reads the same labels.
 /// `light_base` supplies input dims, hidden width, and seq_len; its encoder
 /// kind is ignored (replaced by the searched encoder).
 Result<std::unique_ptr<models::BaseModel>> SearchLightModel(

@@ -77,7 +77,8 @@ Status RestoreTrainerCheckpoint(const resilience::CheckpointReader& ckpt,
   return Status::OK();
 }
 
-/// Shared epoch loop; `loss_fn` maps a batch to the scalar training loss.
+/// Shared epoch loop; `loss_fn` maps a batch and its row indices in
+/// `train_data` to the scalar training loss.
 template <typename LossFn>
 Result<TrainReport> RunTraining(models::BaseModel* model,
                                 const data::ScenarioData& train_data,
@@ -136,7 +137,7 @@ Result<TrainReport> RunTraining(models::BaseModel* model,
       steps_total->Add(1);
       data::Batch batch = MakeBatch(train_data, indices);
       optimizer.ZeroGrad();
-      ag::Variable loss = loss_fn(batch, &dropout_rng);
+      ag::Variable loss = loss_fn(batch, indices, &dropout_rng);
       if (options.audit_graph && !audited) {
         audited = true;
         analysis::GraphReport audit =
@@ -195,7 +196,8 @@ Result<TrainReport> TrainModel(models::BaseModel* model,
                                const TrainOptions& options) {
   return RunTraining(
       model, train_data, options,
-      [model](const data::Batch& batch, Rng* dropout_rng) {
+      [model](const data::Batch& batch, const std::vector<size_t>& /*rows*/,
+              Rng* dropout_rng) {
         ag::Variable logits = model->Forward(batch, dropout_rng);
         ag::Variable targets = ag::Variable::Constant(batch.labels);
         return ag::BCEWithLogits(logits, targets);
@@ -207,23 +209,59 @@ Result<TrainReport> TrainWithDistillation(models::BaseModel* student,
                                           const data::ScenarioData& train_data,
                                           float delta,
                                           const TrainOptions& options) {
-  if (teacher == nullptr) {
-    return Status::InvalidArgument("teacher must not be null");
+  ALT_ASSIGN_OR_RETURN(
+      std::vector<float> soft_labels,
+      SoftLabelTable(teacher, train_data, options.batch_size));
+  return TrainWithDistillation(student, soft_labels, train_data, delta,
+                               options);
+}
+
+Result<TrainReport> TrainWithDistillation(models::BaseModel* student,
+                                          const std::vector<float>& soft_labels,
+                                          const data::ScenarioData& train_data,
+                                          float delta,
+                                          const TrainOptions& options) {
+  if (static_cast<int64_t>(soft_labels.size()) != train_data.num_samples()) {
+    return Status::InvalidArgument("soft-label table does not match the data");
   }
   return RunTraining(
       student, train_data, options,
-      [student, teacher, delta](const data::Batch& batch, Rng* dropout_rng) {
-        ag::Variable logits = student->Forward(batch, dropout_rng);
-        ag::Variable hard = ag::Variable::Constant(batch.labels);
-        // Teacher soft labels, eval mode, no gradient.
-        std::vector<float> teacher_probs = teacher->PredictProbs(batch);
-        Tensor soft_tensor =
-            Tensor::FromVector({batch.batch_size, 1}, teacher_probs);
-        ag::Variable soft = ag::Variable::Constant(std::move(soft_tensor));
-        ag::Variable loss_hard = ag::BCEWithLogits(logits, hard);
-        ag::Variable loss_soft = ag::BCEWithLogits(logits, soft);
-        return ag::Add(loss_hard, ag::ScalarMul(loss_soft, delta));
+      [student, &soft_labels, delta](const data::Batch& batch,
+                                     const std::vector<size_t>& rows,
+                                     Rng* dropout_rng) {
+        return DistillLoss(student->Forward(batch, dropout_rng), batch, rows,
+                           soft_labels, delta);
       });
+}
+
+Result<std::vector<float>> SoftLabelTable(models::BaseModel* teacher,
+                                          const data::ScenarioData& dataset,
+                                          int64_t batch_size) {
+  if (teacher == nullptr) {
+    return Status::InvalidArgument("teacher must not be null");
+  }
+  if (batch_size <= 0) {
+    return Status::InvalidArgument("batch_size must be positive");
+  }
+  ALT_TRACE_SPAN(labels_span, "distill/teacher_labels");
+  ALT_OBS_COUNTER_ADD("train/distill/teacher_rows_total",
+                      dataset.num_samples());
+  return Predict(teacher, dataset, batch_size);
+}
+
+ag::Variable DistillLoss(const ag::Variable& logits, const data::Batch& batch,
+                         const std::vector<size_t>& rows,
+                         const std::vector<float>& soft_labels, float delta) {
+  ag::Variable loss =
+      ag::BCEWithLogits(logits, ag::Variable::Constant(batch.labels));
+  if (soft_labels.empty()) return loss;
+  Tensor soft({batch.batch_size, 1});
+  for (int64_t r = 0; r < batch.batch_size; ++r) {
+    soft[r] = soft_labels[rows[static_cast<size_t>(r)]];
+  }
+  ag::Variable soft_loss =
+      ag::BCEWithLogits(logits, ag::Variable::Constant(std::move(soft)));
+  return ag::Add(loss, ag::ScalarMul(soft_loss, delta));
 }
 
 std::vector<float> Predict(models::BaseModel* model,

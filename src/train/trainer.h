@@ -56,13 +56,42 @@ Result<TrainReport> TrainModel(models::BaseModel* model,
 
 /// Trains `student` with the distillation loss of Eq. 5:
 ///   L = CE(y', y_hard) + delta * CE(y'_soft, y_soft)
-/// where y_soft is the teacher's predicted probability. The teacher is used
-/// in eval mode and receives no gradient.
+/// where y_soft is the teacher's predicted probability. The teacher is read
+/// once: SoftLabelTable labels every row of `train_data` before the first
+/// step, and each step looks its batch's rows up in that table, so the cost
+/// of the teacher does not grow with `epochs`.
 Result<TrainReport> TrainWithDistillation(models::BaseModel* student,
                                           models::BaseModel* teacher,
                                           const data::ScenarioData& train_data,
                                           float delta,
                                           const TrainOptions& options);
+
+/// TrainWithDistillation over a table already built by SoftLabelTable:
+/// `soft_labels[i]` is the teacher's probability for row i of `train_data`.
+/// For a caller that labels the data once and trains more than once on it
+/// (the NAS search, then its final training).
+Result<TrainReport> TrainWithDistillation(models::BaseModel* student,
+                                          const std::vector<float>& soft_labels,
+                                          const data::ScenarioData& train_data,
+                                          float delta,
+                                          const TrainOptions& options);
+
+/// The soft-label table of Eq. 5: the teacher's eval-mode probability for
+/// every row of `dataset`, from one tape-free pass in batches of
+/// `batch_size` (trace span "distill/teacher_labels"; adds num_samples() to
+/// the train/distill/teacher_rows_total counter). PredictProbs is
+/// row-independent, so each entry is bit-identical to what the teacher gives
+/// that row inside any training batch.
+Result<std::vector<float>> SoftLabelTable(models::BaseModel* teacher,
+                                          const data::ScenarioData& dataset,
+                                          int64_t batch_size);
+
+/// The Eq. 5 loss of one batch whose row r is row `rows[r]` of the labelled
+/// dataset: CE(logits, batch.labels) + delta * CE(logits, soft_labels[rows]).
+/// An empty `soft_labels` gives the hard-label term alone.
+ag::Variable DistillLoss(const ag::Variable& logits, const data::Batch& batch,
+                         const std::vector<size_t>& rows,
+                         const std::vector<float>& soft_labels, float delta);
 
 /// Eval-mode predictions for the whole dataset, batched to bound memory.
 std::vector<float> Predict(models::BaseModel* model,

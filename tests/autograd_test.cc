@@ -1,6 +1,8 @@
 #include "src/autograd/ops.h"
 
+#include <atomic>
 #include <cmath>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "src/autograd/variable.h"
@@ -56,6 +58,78 @@ TEST(VariableTest, DeepChainBackward) {
   Variable loss = SumAll(h);
   loss.Backward();
   EXPECT_NEAR(a.grad()[0], std::pow(1.1f, 20.0f), 1e-3f);
+}
+
+TEST(NoGradGuardTest, OpsRecordValueOnly) {
+  Variable a = Variable::Parameter(Tensor::FromVector({2}, {1, 2}));
+  Variable b = Variable::Parameter(Tensor::FromVector({2}, {3, 4}));
+  {
+    NoGradGuard no_grad;
+    EXPECT_FALSE(GradEnabled());
+    Variable y = SumAll(Mul(a, b));
+    EXPECT_FLOAT_EQ(y.value()[0], 11.0f);
+    EXPECT_FALSE(y.requires_grad());
+    EXPECT_TRUE(y.node()->parents.empty());
+    EXPECT_FALSE(static_cast<bool>(y.node()->backward_fn));
+    y.Backward();  // Nothing recorded, so nothing reaches the leaves.
+    EXPECT_FALSE(a.has_grad());
+  }
+  EXPECT_TRUE(GradEnabled());
+  Variable y = SumAll(Mul(a, b));
+  EXPECT_TRUE(y.requires_grad());
+  EXPECT_EQ(y.node()->parents.size(), 1u);
+  y.Backward();
+  EXPECT_FLOAT_EQ(a.grad()[0], 3.0f);
+}
+
+TEST(NoGradGuardTest, NestedGuardsRestoreOuterState) {
+  EXPECT_TRUE(GradEnabled());
+  {
+    NoGradGuard outer;
+    EXPECT_FALSE(GradEnabled());
+    {
+      NoGradGuard inner;
+      EXPECT_FALSE(GradEnabled());
+    }
+    EXPECT_FALSE(GradEnabled());  // The inner guard restored "off".
+  }
+  EXPECT_TRUE(GradEnabled());
+}
+
+TEST(NoGradGuardTest, GuardOnOtherThreadLeavesTrainingUnaffected) {
+  // One thread holds a guard and runs eval ops while this thread records
+  // and differentiates a graph: the flag is per thread, so neither sees
+  // the other's mode.
+  std::atomic<bool> guard_held{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> eval_clean{true};
+  std::thread eval([&] {
+    NoGradGuard no_grad;
+    guard_held.store(true);
+    Variable w = Variable::Parameter(Tensor::FromVector({2}, {1, 1}));
+    while (!release.load()) {
+      Variable y = SumAll(Mul(w, w));
+      if (y.requires_grad() || !y.node()->parents.empty() || GradEnabled()) {
+        eval_clean.store(false);
+      }
+    }
+  });
+  while (!guard_held.load()) std::this_thread::yield();
+  for (int step = 0; step < 50; ++step) {
+    EXPECT_TRUE(GradEnabled());
+    Variable a = Variable::Parameter(Tensor::FromVector({2}, {1, 2}));
+    Variable b = Variable::Parameter(Tensor::FromVector({2}, {3, 4}));
+    Variable loss = SumAll(Mul(a, b));
+    ASSERT_TRUE(loss.requires_grad());
+    loss.Backward();
+    EXPECT_FLOAT_EQ(a.grad()[0], 3.0f);
+    EXPECT_FLOAT_EQ(a.grad()[1], 4.0f);
+    EXPECT_FLOAT_EQ(b.grad()[0], 1.0f);
+    EXPECT_FLOAT_EQ(b.grad()[1], 2.0f);
+  }
+  release.store(true);
+  eval.join();
+  EXPECT_TRUE(eval_clean.load());
 }
 
 TEST(OpsTest, AddSubMulValues) {

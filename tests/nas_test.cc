@@ -7,6 +7,7 @@
 #include "src/nas/derived_encoder.h"
 #include "src/nas/nas_search.h"
 #include "src/nas/supernet.h"
+#include "src/obs/metrics.h"
 #include "src/opt/optimizer.h"
 
 namespace alt {
@@ -309,6 +310,27 @@ TEST(NasSearchTest, EndToEndProducesBudgetedModel) {
     EXPECT_GE(p, 0.0f);
     EXPECT_LE(p, 1.0f);
   }
+}
+
+TEST(NasSearchTest, TeacherLabelsEachRowOncePerSearch) {
+  // Search and final training share one soft-label table: the teacher
+  // labels each row of the train data once, whatever the step count.
+  data::ScenarioData train_data = TinyScenario();
+  Rng teacher_rng(44);
+  auto teacher = models::BuildBaseModel(TinyLightConfig(), &teacher_rng);
+  ASSERT_TRUE(teacher.ok());
+  NasSearchOptions options;
+  options.supernet.num_layers = 2;
+  options.search_epochs = 2;
+  options.batch_size = 32;
+  options.final_train.epochs = 2;
+  obs::Counter* teacher_rows = obs::MetricsRegistry::Global().counter(
+      "train/distill/teacher_rows_total");
+  const int64_t before = teacher_rows->value();
+  auto model = SearchLightModel(TinyLightConfig(), teacher.value().get(),
+                                train_data, options, nullptr);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(teacher_rows->value() - before, train_data.num_samples());
 }
 
 TEST(NasSearchTest, BuildModelRoundTripsNasConfig) {

@@ -674,7 +674,13 @@ TEST(TrainerResumeTest, MissingCheckpointIsCleanStart) {
 // Checkpoint/resume: NAS search
 // ---------------------------------------------------------------------------
 
-TEST(NasResumeTest, ResumedSearchDerivesSameArchitecture) {
+/// Runs a search whole, then as a one-epoch search "killed" after its
+/// checkpoint plus a resumed run, and expects the same architecture and the
+/// same trained light model. With a `teacher`, both runs distil: the
+/// soft-label table is derived state, rebuilt by the resumed run rather
+/// than checkpointed.
+void ExpectResumedSearchMatches(models::BaseModel* teacher,
+                                const std::string& path) {
   data::SyntheticGenerator gen(SmallDataConfig());
   const data::ScenarioData scenario = gen.GenerateScenario(0);
   models::ModelConfig light = SmallModelConfig();
@@ -691,11 +697,10 @@ TEST(NasResumeTest, ResumedSearchDerivesSameArchitecture) {
   base.tau_start = base.tau_end = 1.0;
 
   nas::NasSearchReport full_report;
-  auto full = nas::SearchLightModel(light, nullptr, scenario, base,
+  auto full = nas::SearchLightModel(light, teacher, scenario, base,
                                     &full_report);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
-  const std::string path = ::testing::TempDir() + "/alt_nas_resume.altc";
   std::remove(path.c_str());
   // "Killed" search: one of two supernet epochs before the process dies.
   nas::NasSearchOptions first_half = base;
@@ -703,14 +708,14 @@ TEST(NasResumeTest, ResumedSearchDerivesSameArchitecture) {
   first_half.checkpoint_path = path;
   nas::NasSearchReport ignored;
   ASSERT_TRUE(
-      nas::SearchLightModel(light, nullptr, scenario, first_half, &ignored)
+      nas::SearchLightModel(light, teacher, scenario, first_half, &ignored)
           .ok());
 
   nas::NasSearchOptions second_half = base;
   second_half.checkpoint_path = path;
   second_half.resume = true;
   nas::NasSearchReport resumed_report;
-  auto resumed = nas::SearchLightModel(light, nullptr, scenario, second_half,
+  auto resumed = nas::SearchLightModel(light, teacher, scenario, second_half,
                                        &resumed_report);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
 
@@ -727,6 +732,17 @@ TEST(NasResumeTest, ResumedSearchDerivesSameArchitecture) {
     EXPECT_FLOAT_EQ(p_full[i], p_resumed[i]) << "sample " << i;
   }
   std::remove(path.c_str());
+}
+
+TEST(NasResumeTest, ResumedSearchDerivesSameArchitecture) {
+  ExpectResumedSearchMatches(nullptr,
+                             ::testing::TempDir() + "/alt_nas_resume.altc");
+}
+
+TEST(NasResumeTest, ResumedDistillingSearchDerivesSameArchitecture) {
+  std::unique_ptr<models::BaseModel> teacher = SmallModel(18);
+  ExpectResumedSearchMatches(
+      teacher.get(), ::testing::TempDir() + "/alt_nas_resume_distill.altc");
 }
 
 }  // namespace

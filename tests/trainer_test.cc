@@ -4,6 +4,7 @@
 
 #include "gtest/gtest.h"
 #include "src/data/synthetic.h"
+#include "src/obs/metrics.h"
 
 namespace alt {
 namespace train {
@@ -98,16 +99,19 @@ TEST(TrainerTest, EarlyStoppingByPatience) {
 }
 
 TEST(TrainerTest, PredictBatchesMatchFullEvaluation) {
+  // Eval forwards are row-independent, so the batch size is invisible in
+  // the predictions, bit for bit (what SoftLabelTable relies on).
   data::SyntheticGenerator gen(TestDataConfig());
   data::ScenarioData dataset = gen.GenerateScenario(0);
   Rng rng(7);
-  auto model = models::BuildBaseModel(models::ModelConfig::ProfileOnly(6),
-                                      &rng);
+  auto model = models::BuildBaseModel(
+      TestModelConfig(models::EncoderKind::kLstm), &rng);
+  ASSERT_TRUE(model.ok());
   std::vector<float> small = Predict(model.value().get(), dataset, 32);
   std::vector<float> large = Predict(model.value().get(), dataset, 1024);
   ASSERT_EQ(small.size(), large.size());
   for (size_t i = 0; i < small.size(); ++i) {
-    EXPECT_NEAR(small[i], large[i], 1e-6f);
+    EXPECT_EQ(small[i], large[i]) << "sample " << i;
   }
 }
 
@@ -170,6 +174,52 @@ TEST(TrainerTest, DistilledStudentTracksTeacher) {
     dist_p += std::abs(plain_probs[i] - teacher_probs[i]);
   }
   EXPECT_LT(dist_d, dist_p);
+}
+
+int64_t TeacherRows() {
+  return obs::MetricsRegistry::Global()
+      .counter("train/distill/teacher_rows_total")
+      ->value();
+}
+
+TEST(TrainerTest, DistillationReadsTeacherOncePerRun) {
+  // The teacher labels each training row once per run, however many
+  // epochs (and so steps) the student trains for.
+  data::SyntheticGenerator gen(TestDataConfig());
+  data::ScenarioData train_data = gen.GenerateScenario(0);
+  Rng teacher_rng(12);
+  auto teacher = models::BuildBaseModel(
+      TestModelConfig(models::EncoderKind::kLstm), &teacher_rng);
+  ASSERT_TRUE(teacher.ok());
+  for (int64_t epochs : {1, 3}) {
+    Rng rng(13);
+    auto student =
+        models::BuildBaseModel(models::ModelConfig::ProfileOnly(6), &rng);
+    TrainOptions options;
+    options.epochs = epochs;
+    const int64_t before = TeacherRows();
+    ASSERT_TRUE(TrainWithDistillation(student.value().get(),
+                                      teacher.value().get(), train_data, 1.0f,
+                                      options)
+                    .ok());
+    EXPECT_EQ(TeacherRows() - before, train_data.num_samples())
+        << epochs << " epochs";
+  }
+}
+
+TEST(TrainerTest, DistillationRejectsMismatchedTable) {
+  data::SyntheticGenerator gen(TestDataConfig());
+  data::ScenarioData train_data = gen.GenerateScenario(1);
+  Rng rng(16);
+  auto student =
+      models::BuildBaseModel(models::ModelConfig::ProfileOnly(6), &rng);
+  const std::vector<float> short_table(
+      static_cast<size_t>(train_data.num_samples() - 1), 0.5f);
+  EXPECT_EQ(TrainWithDistillation(student.value().get(), short_table,
+                                  train_data, 0.5f, TrainOptions())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TrainerTest, TrainingIsDeterministicPerSeed) {

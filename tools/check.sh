@@ -244,9 +244,12 @@ if wants simd-parity; then
   # kernel/quant/autograd surface still passes when SIMD is off entirely
   # (the fallback every non-x86 or ALT_SIMD=off deployment runs). The nn
   # gradient checks and the fused-LSTM tests run the scalar arm of the
-  # polynomial activations and the LSTM cell kernel.
+  # polynomial activations and the LSTM cell kernel. The row-independence
+  # suite holds eval forwards bit-identical across batch compositions, the
+  # property the distillation soft-label table rests on.
   SIMD_PARITY_TESTS="kernels_test|kernel_parity_test|quant_test|autograd_test"
   SIMD_PARITY_TESTS="${SIMD_PARITY_TESTS}|nn_grad_check_test|lstm_op_test"
+  SIMD_PARITY_TESTS="${SIMD_PARITY_TESTS}|row_independence_test"
   echo "==> simd-parity stage (ALT_SIMD=off over kernel-layer tests)"
   ALT_SIMD=off ctest --test-dir build --output-on-failure \
     -R "^(${SIMD_PARITY_TESTS})$"
@@ -271,11 +274,13 @@ fi
 if wants tsan; then
   # TSan covers the compute-kernel layer (ParallelFor, the shared compute
   # pool, and the parallel GEMM/conv/elementwise kernels) plus the
-  # observability layer (concurrent metric updates and trace spans). Only
-  # the threading-related targets are built and run: TSan slows everything
-  # ~10x and the rest of the suite is single-threaded.
+  # observability layer (concurrent metric updates and trace spans), and
+  # the thread-local grad mode (autograd_test trains on one thread while
+  # another holds a NoGradGuard). Only the threading-related targets are
+  # built and run: TSan slows everything ~10x and the rest of the suite is
+  # single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
-                obs_test obs_export_test)
+                obs_test obs_export_test autograd_test)
   echo "==> configuring build-tsan (-DALT_SANITIZE=thread -DALT_DCHECKS=ON)"
   cmake -B build-tsan -S . -DALT_SANITIZE=thread -DALT_DCHECKS=ON >/dev/null
   echo "==> building build-tsan (${TSAN_TARGETS[*]})"
