@@ -225,22 +225,37 @@ Result<std::vector<float>> ModelServer::FallbackPredict(
                             resilience_.fallback_prior);
 }
 
-Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
-                                                const data::Batch& batch) {
+std::shared_ptr<ModelServer::Deployment> ModelServer::ResolveDeployment(
+    const std::string& scenario, std::string* target) const {
+  *target = scenario;
   std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
-  std::string target = scenario;
   if (deployment == nullptr && resilience_enabled_ &&
       !resilience_.default_scenario.empty() &&
       scenario != resilience_.default_scenario) {
     deployment = FindDeployment(resilience_.default_scenario);
-    if (deployment != nullptr) {
-      unknown_fallbacks_total_->Add(1);
-      target = resilience_.default_scenario;
-    }
+    if (deployment != nullptr) *target = resilience_.default_scenario;
   }
+  return deployment;
+}
+
+Status ModelServer::CheckRequest(const std::string& scenario,
+                                 const data::Batch& batch) const {
+  std::string target;
+  std::shared_ptr<Deployment> deployment = ResolveDeployment(scenario, &target);
   if (deployment == nullptr) {
     return Status::NotFound("scenario " + scenario + " not deployed");
   }
+  return ValidateRequest(deployment.get(), batch);
+}
+
+Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
+                                                const data::Batch& batch) {
+  std::string target;
+  std::shared_ptr<Deployment> deployment = ResolveDeployment(scenario, &target);
+  if (deployment == nullptr) {
+    return Status::NotFound("scenario " + scenario + " not deployed");
+  }
+  if (target != scenario) unknown_fallbacks_total_->Add(1);
   ALT_RETURN_IF_ERROR(ValidateRequest(deployment.get(), batch));
   if (!resilience_enabled_) return PredictOn(deployment, batch);
 
@@ -265,14 +280,16 @@ Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
 
 Result<LatencyStats> ModelServer::GetLatencyStats(
     const std::string& scenario) const {
-  {
-    MutexLock lock(registry_mu_);
-    if (deployments_.find(scenario) == deployments_.end()) {
-      return Status::NotFound("scenario " + scenario);
-    }
+  if (FindDeployment(scenario) == nullptr) {
+    return Status::NotFound("scenario " + scenario);
   }
+  return RegistryLatencyStats(*registry_, scenario);
+}
+
+LatencyStats ModelServer::RegistryLatencyStats(
+    const obs::MetricsRegistry& registry, const std::string& scenario) {
   const obs::HistogramSummary summary =
-      registry_->histogram_summary(LatencyMetricName(scenario));
+      registry.histogram_summary(LatencyMetricName(scenario));
   LatencyStats stats;
   stats.num_requests = summary.count;
   stats.mean_ms = summary.mean;
@@ -285,15 +302,8 @@ Result<LatencyStats> ModelServer::GetLatencyStats(
 
 Result<int64_t> ModelServer::FlopsPerSample(
     const std::string& scenario) const {
-  std::shared_ptr<Deployment> deployment;
-  {
-    MutexLock lock(registry_mu_);
-    auto it = deployments_.find(scenario);
-    if (it == deployments_.end()) {
-      return Status::NotFound("scenario " + scenario);
-    }
-    deployment = it->second;
-  }
+  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
+  if (deployment == nullptr) return Status::NotFound("scenario " + scenario);
   MutexLock model_lock(deployment->mu);
   if (deployment->model == nullptr) {
     return Status::NotFound("scenario " + scenario + " has no model");
@@ -303,15 +313,8 @@ Result<int64_t> ModelServer::FlopsPerSample(
 
 Status ModelServer::ExportBundle(const std::string& scenario,
                                  const std::string& path) const {
-  std::shared_ptr<Deployment> deployment;
-  {
-    MutexLock lock(registry_mu_);
-    auto it = deployments_.find(scenario);
-    if (it == deployments_.end()) {
-      return Status::NotFound("scenario " + scenario);
-    }
-    deployment = it->second;
-  }
+  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
+  if (deployment == nullptr) return Status::NotFound("scenario " + scenario);
   MutexLock model_lock(deployment->mu);
   if (deployment->model == nullptr) {
     return Status::NotFound("scenario " + scenario + " has no model");

@@ -136,6 +136,11 @@ class ModelServer {
   Result<std::vector<float>> Predict(const std::string& scenario,
                                      const data::Batch& batch);
 
+  /// Predict's request check on its own: NotFound without a deployment,
+  /// InvalidArgument when `batch` does not fit the model Predict would run.
+  Status CheckRequest(const std::string& scenario,
+                      const data::Batch& batch) const;
+
   /// Latency distribution of past Predict calls (per request, not per
   /// sample), computed from the metrics registry histogram.
   Result<LatencyStats> GetLatencyStats(const std::string& scenario) const;
@@ -151,6 +156,9 @@ class ModelServer {
 
   /// Registry name of the per-scenario request latency histogram.
   static std::string LatencyMetricName(const std::string& scenario);
+  /// That histogram in `registry` as LatencyStats (zeros when empty).
+  static LatencyStats RegistryLatencyStats(const obs::MetricsRegistry& registry,
+                                           const std::string& scenario);
 
  private:
   struct Deployment {
@@ -162,6 +170,10 @@ class ModelServer {
   };
 
   std::shared_ptr<Deployment> FindDeployment(const std::string& scenario) const;
+  /// The deployment Predict serves `scenario` from (its own, else the
+  /// resilience default's), named in `*target`; nullptr when none.
+  std::shared_ptr<Deployment> ResolveDeployment(const std::string& scenario,
+                                                std::string* target) const;
   /// One deploy attempt; consumes `*model` only on success (the retry-loop
   /// contract, now an implementation detail of Deploy's retry loop).
   Status DeployAttempt(const std::string& scenario,

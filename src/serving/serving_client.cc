@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "src/serving/shard/hash_ring.h"
 #include "src/util/logging.h"
 
 namespace alt {
@@ -58,21 +57,11 @@ ServingClient::ServingClient(Options options, obs::MetricsRegistry* registry)
           ToTracerOptions(options_, registry_))),
       slo_(std::make_unique<obs::SloTracker>(
           ToSloOptions(options_, registry_))),
-      coordinator_(ToCoordinatorOptions(options_), registry_) {
-  {
-    MutexLock lock(batchers_mu_);
-    for (const std::string& id : coordinator_.ShardIds()) {
-      // Per-shard batchers keep micro-batch locality; the preferred-shard
-      // flush path falls back to replicas when the shard dies.
-      batchers_[id] = std::make_unique<BatchPredictor>(
-          [this, id](const std::string& scenario, const data::Batch& batch,
-                     const obs::RequestContext& ctx) {
-            return coordinator_.PredictPreferring(id, scenario, batch, ctx);
-          },
-          options_.batching, registry_);
-      WireBatcher(batchers_[id].get());
-    }
-  }
+      batch_latency_ms_(
+          registry_->histogram("serving/batch_predictor/request_latency_ms")),
+      shard_unavailable_(registry_->counter("serving/shard_unavailable")),
+      coordinator_(ToCoordinatorOptions(options_), registry_,
+                   options_.batching) {
   if (options_.enable_resilience) {
     coordinator_.EnableResilience(options_.resilience, options_.clock);
   }
@@ -127,73 +116,40 @@ Result<std::vector<float>> ServingClient::Predict(const std::string& scenario,
   return result;
 }
 
-void ServingClient::EnsureBatcher(const std::string& shard_id) {
-  MutexLock lock(batchers_mu_);
-  auto it = batchers_.find(shard_id);
-  if (it != batchers_.end()) return;
-  batchers_[shard_id] = std::make_unique<BatchPredictor>(
-      [this, shard_id](const std::string& scenario, const data::Batch& batch,
-                       const obs::RequestContext& ctx) {
-        return coordinator_.PredictPreferring(shard_id, scenario, batch, ctx);
-      },
-      options_.batching, registry_);
-  WireBatcher(batchers_[shard_id].get());
-}
-
-void ServingClient::WireBatcher(BatchPredictor* batcher) {
-  batcher->set_tracer(tracer_.get());
-  batcher->set_completion_hook(
-      [this](const std::string& scenario, double latency_ms,
-             const Status& status) {
-        RecordOutcome(scenario, latency_ms, status);
-      });
-}
-
-BatchPredictor* ServingClient::BatcherFor(const std::string& scenario) {
-  // Owner-shard affinity keeps one scenario's requests coalescing in one
-  // queue; unknown scenarios hash deterministically so resilience-default
-  // traffic still batches.
-  std::vector<std::string> replicas = coordinator_.ReplicasOf(scenario);
-  MutexLock lock(batchers_mu_);
-  std::string id;
-  if (!replicas.empty()) {
-    id = replicas.front();
-  } else {
-    const uint64_t hash = shard::HashRing::KeyHash(scenario);
-    id = "shard-" +
-         std::to_string(hash % static_cast<uint64_t>(batchers_.size()));
-  }
-  auto it = batchers_.find(id);
-  ALT_CHECK(it != batchers_.end());
-  return it->second.get();
-}
-
 std::future<Result<float>> ServingClient::EnqueuePredict(
     const std::string& scenario, Tensor profile,
     std::vector<int64_t> behavior) {
-  // The batcher's resolve path completes the trace and fires the completion
-  // hook once the flushed prediction lands, so the enqueue only mints the
-  // context here.
   const obs::RequestContext ctx = tracer_->StartRequest(scenario);
-  return BatcherFor(scenario)->Enqueue(scenario, std::move(profile),
-                                       std::move(behavior), ctx);
+  data::Batch row;
+  row.batch_size = 1;
+  row.seq_len = static_cast<int64_t>(behavior.size());
+  row.profiles = profile.Reshape({1, profile.numel()});
+  row.behaviors = std::move(behavior);
+  auto promise = std::make_shared<std::promise<Result<float>>>();
+  std::future<Result<float>> future = promise->get_future();
+  pending_batch_.fetch_add(1, std::memory_order_relaxed);
+  coordinator_.EnqueuePredict(
+      scenario, std::move(row), ctx,
+      [this, scenario, ctx, promise](Result<std::vector<float>> scores) {
+        // Runs before the shard's queue depth drops for this request, so
+        // a reader that waits for idle shards sees it fully accounted.
+        const Status status = scores.status();
+        const double latency_ms = tracer_->CompleteRequest(ctx, status);
+        batch_latency_ms_->Observe(latency_ms);
+        if (status.code() == StatusCode::kUnavailable) {
+          shard_unavailable_->Add(1);
+        }
+        RecordOutcome(scenario, latency_ms, status);
+        pending_batch_.fetch_sub(1, std::memory_order_relaxed);
+        promise->set_value(scores.ok() ? Result<float>(scores.value()[0])
+                                       : Result<float>(status));
+      });
+  return future;
 }
 
 void ServingClient::DrainBatchQueues() const {
-  // Snapshot under the lock, poll outside it: batchers are never destroyed
-  // once created, so the pointers stay valid while we wait.
-  std::vector<BatchPredictor*> batchers;
-  {
-    MutexLock lock(batchers_mu_);
-    batchers.reserve(batchers_.size());
-    for (const auto& [id, batcher] : batchers_) {
-      batchers.push_back(batcher.get());
-    }
-  }
-  for (BatchPredictor* batcher : batchers) {
-    while (batcher->PendingRequests() > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+  while (pending_batch_.load(std::memory_order_relaxed) > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 
@@ -216,12 +172,7 @@ ServingClient::Stats ServingClient::GetStats() const {
     const shard::WorkerShard* worker = coordinator_.shard(id);
     if (worker != nullptr) stats.requests_served += worker->RequestsServed();
   }
-  {
-    MutexLock lock(batchers_mu_);
-    for (const auto& [id, batcher] : batchers_) {
-      stats.pending_batch_requests += batcher->PendingRequests();
-    }
-  }
+  stats.pending_batch_requests = pending_batch_.load(std::memory_order_relaxed);
   stats.traced_requests = tracer_->traced_requests();
   stats.slowest_request_ms = tracer_->slowest_ms();
   stats.scenarios_burning = static_cast<int>(slo_->Burning().size());
@@ -277,15 +228,10 @@ Status ServingClient::KillShard(const std::string& shard_id) {
 }
 
 Status ServingClient::RejoinShard(const std::string& shard_id) {
-  ALT_RETURN_IF_ERROR(coordinator_.RejoinShard(shard_id));
-  EnsureBatcher(shard_id);  // Original-topology shards already have one.
-  return Status::OK();
+  return coordinator_.RejoinShard(shard_id);
 }
 
 Status ServingClient::AddShard(const std::string& shard_id) {
-  // The batcher exists before the shard's vnodes can enter the ring, so a
-  // concurrent EnqueuePredict routed at the newcomer always finds a queue.
-  EnsureBatcher(shard_id);
   return coordinator_.AddShard(shard_id);
 }
 

@@ -1,6 +1,7 @@
 #ifndef ALT_SRC_SERVING_SERVING_CLIENT_H_
 #define ALT_SRC_SERVING_SERVING_CLIENT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -14,7 +15,6 @@
 #include "src/obs/request_trace.h"
 #include "src/obs/slo.h"
 #include "src/resilience/circuit_breaker.h"
-#include "src/serving/batch_predictor.h"
 #include "src/serving/model_server.h"
 #include "src/serving/shard/coordinator.h"
 #include "src/serving/shard/supervisor.h"
@@ -27,22 +27,21 @@ namespace serving {
 
 /// The public serving API: one facade over the sharded serving plane for
 /// deploy, predict, batch-predict, undeploy, elasticity, and stats.
-/// Subsumes direct ModelServer / BatchPredictor use (their deprecated shims
-/// were removed after one release, per the PR 8 schedule).
+/// Subsumes direct ModelServer use.
 ///
 /// Topology: `Options::num_shards` WorkerShards (each a ModelServer on its
-/// own thread) behind a ShardCoordinator — consistent-hash routing with
-/// virtual nodes, replica groups (power-of-two-choices balancing, wider
-/// groups for DeployOptions::hot scenarios), breaker-driven rebalancing on
-/// shard failure, and version-gated deploy broadcast. `num_shards = 1`
-/// (the default) reproduces the classic single-server layout through the
-/// same API.
+/// own dispatcher thread) behind a ShardCoordinator — consistent-hash
+/// routing, replica groups, breaker-driven rebalancing, and version-gated
+/// deploy broadcast. `num_shards = 1` (the default) is the classic
+/// single-server layout.
 ///
-/// Batch path: one BatchPredictor per shard, each flushing through the
-/// coordinator with that shard preferred — micro-batching locality is kept
-/// while a vanished shard's queued requests fail over to replicas instead
-/// of being lost; only when no replica remains do they fail with
-/// Status kUnavailable (counted in serving/shard_unavailable).
+/// Batch path: EnqueuePredict queues a one-row task on the scenario's first
+/// live replica, whose dispatcher coalesces the same-scenario rows at the
+/// front of its queue into one engine call — one queue and one thread hop,
+/// like the direct path. A dead shard's queued requests fail over to
+/// replicas; with no replica left they fail kUnavailable (counted in
+/// serving/shard_unavailable). Batched requests feed
+/// serving/batch_predictor/request_latency_ms.
 class ServingClient {
  public:
   struct Options {
@@ -53,22 +52,16 @@ class ServingClient {
     /// Replicas per scenario; hot scenarios get `hot_replication`.
     int replication = 1;
     int hot_replication = 2;
-    /// Shard-health breakers watched by the coordinator; an open breaker
-    /// (or a dead shard) triggers the rebalance.
+    /// Shard-health breakers; an open breaker triggers the rebalance.
     resilience::CircuitBreakerOptions shard_breaker =
         shard::CoordinatorOptions::DefaultShardBreaker();
-    /// SubmitPredict backpressure per shard; 0 = unbounded.
+    /// Per-shard queue cap (0 = unbounded) and soft load-shedding
+    /// watermarks with hysteresis (high <= 0 disables shedding); see
+    /// shard::CoordinatorOptions.
     int64_t max_queue_depth_per_shard = 0;
-    /// Soft load-shedding watermarks per shard (hysteresis): a shard whose
-    /// queue reaches the high watermark rejects non-critical requests with
-    /// kResourceExhausted until it drains to the low watermark. Hot /
-    /// everywhere-deployed scenarios shed last (only the hard cap applies
-    /// to them). high <= 0 disables soft shedding.
     int64_t shed_high_watermark = 0;
     int64_t shed_low_watermark = 0;
-    /// Warm re-join pacing: a re-admitted shard's virtual nodes enter the
-    /// ring in this many staged batches, optionally pausing between stages
-    /// so in-flight traffic settles onto the new routing.
+    /// Warm re-join pacing: staged vnode batches, optional pause between.
     int rejoin_stages = 4;
     double rejoin_stage_pause_ms = 0.0;
     /// Health-probed membership: construct (and start) a ShardSupervisor
@@ -81,24 +74,21 @@ class ServingClient {
     /// Clock for re-join pacing (and the supervisor, unless its own clock
     /// is set); nullptr = real clock.
     resilience::Clock* clock = nullptr;
-    /// Micro-batching knobs of the EnqueuePredict path.
-    BatchPredictor::Options batching;
+    /// Micro-batching knobs of the EnqueuePredict path, applied by every
+    /// shard dispatcher; max_batch_size < 1 or max_delay_ms < 0 aborts
+    /// construction.
+    shard::BatchingOptions batching;
     /// Graceful degradation (breakers + fallback predictions) on every
     /// shard engine, enabled at construction. EnableResilience() turns it
-    /// on later (e.g. with a test clock). This is where the old
-    /// ServingResilienceOptions plumbing now lives.
+    /// on later (e.g. with a test clock).
     bool enable_resilience = false;
     ServingResilienceOptions resilience;
-    /// Request-scoped tracing: every Predict/EnqueuePredict ticks the
-    /// tracer; sampled requests (rate from ALT_TRACE_SAMPLE unless
-    /// trace.sample_rate >= 0) get per-segment latency attribution and a
-    /// slot in the slow-trace ring (/trace/slow). A null trace.registry /
-    /// trace.recorder inherits the client's registry / global recorder.
+    /// Request-scoped tracing: sampled requests (ALT_TRACE_SAMPLE unless
+    /// trace.sample_rate >= 0) get segment attribution and a slot in the
+    /// slow-trace ring. Null registry / recorder: the client's / global.
     obs::RequestTracer::Options trace;
-    /// Per-scenario SLO burn-rate tracking. A null slo.registry inherits
-    /// the client's registry; a null slo.now_ms wraps Options::clock when
-    /// one is set (FakeClock tests drive the burn windows), else the
-    /// steady clock.
+    /// Per-scenario SLO burn-rate tracking. Null registry: the client's;
+    /// null now_ms: Options::clock when set, else the steady clock.
     obs::SloTracker::Options slo;
   };
 
@@ -121,7 +111,7 @@ class ServingClient {
   };
 
   /// `registry == nullptr` selects the process-global registry; all shards
-  /// and batchers share it, so per-scenario metrics aggregate fleet-wide.
+  /// share it, so per-scenario metrics aggregate fleet-wide.
   explicit ServingClient(Options options,
                          obs::MetricsRegistry* registry = nullptr);
   /// Default topology: one shard, global registry. (A separate constructor
@@ -157,8 +147,9 @@ class ServingClient {
   Result<std::vector<float>> Predict(const std::string& scenario,
                                      const data::Batch& batch);
 
-  /// Asynchronous single-request predict: coalesced into micro-batches on
-  /// the scenario's owner shard, flushed through the coordinator.
+  /// Asynchronous single-request predict, coalesced on the shard. `profile`
+  /// is [1, P] or [P]. An unknown scenario resolves NotFound, a malformed
+  /// request InvalidArgument, without failing its batch.
   std::future<Result<float>> EnqueuePredict(const std::string& scenario,
                                             Tensor profile,
                                             std::vector<int64_t> behavior);
@@ -194,7 +185,7 @@ class ServingClient {
   Status RejoinShard(const std::string& shard_id);
 
   /// Elastic scale-up: adds a brand-new shard through the same warm staged
-  /// admission, and gives it a batching front-end.
+  /// admission.
   Status AddShard(const std::string& shard_id);
 
   /// Shard-state health report, the /healthz / /readyz source of truth.
@@ -228,14 +219,8 @@ class ServingClient {
   const Options& options() const { return options_; }
 
  private:
-  BatchPredictor* BatcherFor(const std::string& scenario)
-      ALT_EXCLUDES(batchers_mu_);
-  /// Creates the shard's batcher if absent (runtime AddShard path).
-  void EnsureBatcher(const std::string& shard_id) ALT_EXCLUDES(batchers_mu_);
-  /// Points a freshly created batcher at the tracer + completion hook.
-  void WireBatcher(BatchPredictor* batcher);
   /// Per-scenario request-latency histogram
-  /// (`serving/request_latency_ms/<scenario>` → the exporter renders it as
+  /// (`serving/request/latency_ms/<scenario>` → the exporter renders it as
   /// alt_serving_request_latency_ms{id="<scenario>"}), cached per scenario.
   obs::Histogram* LatencyHistogramFor(const std::string& scenario)
       ALT_EXCLUDES(latency_mu_);
@@ -246,21 +231,18 @@ class ServingClient {
 
   Options options_;
   obs::MetricsRegistry* registry_;
-  /// Declared before the coordinator/batchers: batcher dispatcher threads
-  /// call into the tracer and SLO tracker until they join, so these must be
-  /// destroyed after them.
+  /// Declared before the coordinator: shard dispatchers complete batched
+  /// requests through these until the coordinator stops them.
   std::unique_ptr<obs::RequestTracer> tracer_;
   std::unique_ptr<obs::SloTracker> slo_;
   mutable Mutex latency_mu_;
   std::map<std::string, obs::Histogram*> latency_hists_
       ALT_GUARDED_BY(latency_mu_);
+  obs::Histogram* batch_latency_ms_;  // Owned by the registry.
+  obs::Counter* shard_unavailable_;   // Owned by the registry.
+  /// Batched requests enqueued and not yet resolved.
+  std::atomic<int64_t> pending_batch_{0};
   shard::ShardCoordinator coordinator_;
-  /// One batcher per shard id; declared after the coordinator so their
-  /// dispatcher threads shut down first. Guarded: AddShard grows the map
-  /// at runtime.
-  mutable Mutex batchers_mu_;
-  std::map<std::string, std::unique_ptr<BatchPredictor>> batchers_
-      ALT_GUARDED_BY(batchers_mu_);
   /// Declared last so its probe thread stops before anything it watches.
   std::unique_ptr<shard::ShardSupervisor> supervisor_;
 };

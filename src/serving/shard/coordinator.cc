@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <utility>
 
@@ -27,11 +28,20 @@ bool Contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
 }
 
+/// Books the wall time since `start_us` as `segment` of a sampled request.
+void BookAttempt(const obs::RequestContext& ctx, double start_us,
+                 const char* segment) {
+  if (!ctx.sampled()) return;
+  ctx.trace->AddSegment(segment, (obs::MonotonicMicros() - start_us) / 1e3);
+}
+
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
-                                   obs::MetricsRegistry* registry)
+                                   obs::MetricsRegistry* registry,
+                                   BatchingOptions batching)
     : options_(options),
+      batching_(batching),
       registry_(registry != nullptr ? registry
                                     : &obs::MetricsRegistry::Global()),
       clock_(options.clock != nullptr ? options.clock
@@ -59,7 +69,7 @@ ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
   MutexLock state(state_mu_);
   for (int i = 0; i < options_.num_shards; ++i) {
     const std::string id = "shard-" + std::to_string(i);
-    auto worker = std::make_unique<WorkerShard>(id, registry_);
+    auto worker = std::make_unique<WorkerShard>(id, registry_, batching_);
     ConfigureWorker(worker.get());
     shards_by_id_[id] = worker.get();
     shards_.push_back(std::move(worker));
@@ -70,7 +80,19 @@ ShardCoordinator::ShardCoordinator(CoordinatorOptions options,
   PublishImbalanceLocked();
 }
 
-ShardCoordinator::~ShardCoordinator() = default;
+ShardCoordinator::~ShardCoordinator() {
+  stopping_.store(true);
+  // Every dispatcher stops before any member goes away: callbacks still
+  // running read the table, the ring and the breakers.
+  for (WorkerShard* worker : Workers()) worker->Stop();
+}
+
+std::vector<WorkerShard*> ShardCoordinator::Workers() const {
+  MutexLock state(state_mu_);
+  std::vector<WorkerShard*> out;
+  for (const auto& worker : shards_) out.push_back(worker.get());
+  return out;
+}
 
 void ShardCoordinator::ConfigureWorker(WorkerShard* worker) const {
   worker->set_max_queue_depth(options_.max_queue_depth_per_shard);
@@ -84,58 +106,31 @@ WorkerShard* ShardCoordinator::FindShard(const std::string& shard_id) const {
   return it == shards_by_id_.end() ? nullptr : it->second;
 }
 
-WorkerShard* ShardCoordinator::LiveShard(const std::string& shard_id) const {
-  WorkerShard* worker = FindShard(shard_id);
-  return (worker == nullptr || worker->dead()) ? nullptr : worker;
-}
-
-resilience::CircuitBreaker* ShardCoordinator::BreakerOf(
-    const std::string& shard_id) const {
-  MutexLock state(state_mu_);
-  auto it = breakers_.find(shard_id);
-  return it == breakers_.end() ? nullptr : it->second.get();
-}
-
 Status ShardCoordinator::Deploy(const std::string& scenario,
                                 std::unique_ptr<models::BaseModel> model,
                                 const DeployOptions& options) {
-  if (model == nullptr) return Status::InvalidArgument("null model");
-  MutexLock control(control_mu_);
-  ScenarioEntry entry;
-  entry.options = options;
-  entry.options.calibration = nullptr;  // Dangling after this call.
-  {
-    std::ostringstream out;
-    ALT_RETURN_IF_ERROR(SaveModelBundle(model.get(), &out));
-    entry.bundle = out.str();
-  }
-  std::vector<std::string> targets;
-  {
-    MutexLock state(state_mu_);
-    auto it = table_.find(scenario);
-    entry.version = (it != table_.end() ? it->second.version : 0) + 1;
-    const int want =
-        options.hot ? options_.hot_replication : options_.replication;
-    targets = ring_.RouteReplicas(scenario, want);
-  }
-  if (targets.empty()) {
-    return Status::Unavailable("no live shards to deploy " + scenario);
-  }
-  return BroadcastLocked(scenario, &entry, std::move(model), options, targets);
+  return Broadcast(scenario, std::move(model), options, /*everywhere=*/false);
 }
 
 Status ShardCoordinator::DeployEverywhere(
     const std::string& scenario, std::unique_ptr<models::BaseModel> model,
     const DeployOptions& options) {
-  if (model == nullptr) return Status::InvalidArgument("null model");
+  return Broadcast(scenario, std::move(model), options, /*everywhere=*/true);
+}
+
+Status ShardCoordinator::Broadcast(const std::string& scenario,
+                                   std::unique_ptr<models::BaseModel> original,
+                                   const DeployOptions& deploy_options,
+                                   bool everywhere) {
+  if (original == nullptr) return Status::InvalidArgument("null model");
   MutexLock control(control_mu_);
   ScenarioEntry entry;
-  entry.options = options;
-  entry.options.calibration = nullptr;
-  entry.everywhere = true;
+  entry.options = deploy_options;
+  entry.options.calibration = nullptr;  // Dangling after this call.
+  entry.everywhere = everywhere;
   {
     std::ostringstream out;
-    ALT_RETURN_IF_ERROR(SaveModelBundle(model.get(), &out));
+    ALT_RETURN_IF_ERROR(SaveModelBundle(original.get(), &out));
     entry.bundle = out.str();
   }
   std::vector<std::string> targets;
@@ -143,19 +138,13 @@ Status ShardCoordinator::DeployEverywhere(
     MutexLock state(state_mu_);
     auto it = table_.find(scenario);
     entry.version = (it != table_.end() ? it->second.version : 0) + 1;
-    targets = ring_.Shards();
+    targets = everywhere ? ring_.Shards()
+                         : ring_.RouteReplicas(scenario,
+                                               ReplicationFor(deploy_options));
   }
   if (targets.empty()) {
     return Status::Unavailable("no live shards to deploy " + scenario);
   }
-  return BroadcastLocked(scenario, &entry, std::move(model), options, targets);
-}
-
-Status ShardCoordinator::BroadcastLocked(
-    const std::string& scenario, ScenarioEntry* entry,
-    std::unique_ptr<models::BaseModel> original,
-    const DeployOptions& deploy_options,
-    const std::vector<std::string>& targets) {
   obs::ScopedTimerMs timer(broadcast_ms_);
   Status first_error;
   std::vector<std::string> deployed;
@@ -168,7 +157,7 @@ Status ShardCoordinator::BroadcastLocked(
     } else {
       // Replica fan-out: clone from the bundle serialized once above —
       // serialize-once, deserialize-per-replica is the broadcast protocol.
-      std::istringstream in(entry->bundle);
+      std::istringstream in(entry.bundle);
       Result<std::unique_ptr<models::BaseModel>> loaded = LoadModelBundle(&in);
       if (!loaded.ok()) {
         if (first_error.ok()) first_error = loaded.status();
@@ -177,7 +166,7 @@ Status ShardCoordinator::BroadcastLocked(
       model = std::move(loaded).value();
     }
     Status status = target->Deploy(scenario, std::move(model),
-                                   deploy_options, entry->version);
+                                   deploy_options, entry.version);
     if (status.ok()) {
       deployed.push_back(targets[i]);
     } else if (first_error.ok()) {
@@ -193,9 +182,9 @@ Status ShardCoordinator::BroadcastLocked(
   if (deployed.empty()) {
     return Status::Unavailable("no shard accepted deploy of " + scenario);
   }
-  entry->replicas = std::move(deployed);
+  entry.replicas = std::move(deployed);
   MutexLock state(state_mu_);
-  table_[scenario] = std::move(*entry);
+  table_[scenario] = std::move(entry);
   PublishImbalanceLocked();
   return Status::OK();
 }
@@ -244,158 +233,195 @@ std::vector<std::string> ShardCoordinator::Scenarios() const {
   return out;
 }
 
-ShardCoordinator::RouteDecision ShardCoordinator::RankedReplicas(
-    const std::string& scenario) {
-  RouteDecision decision;
-  std::vector<std::string>& candidates = decision.candidates;
-  {
-    MutexLock state(state_mu_);
-    auto it = table_.find(scenario);
-    if (it != table_.end()) {
-      candidates =
-          it->second.everywhere ? ring_.Shards() : it->second.replicas;
-      // Hot and everywhere-deployed scenarios (the resilience fallback /
-      // default paths among them) are the last traffic a loaded shard
-      // should drop: they bypass the soft shed watermark.
-      if (it->second.everywhere || it->second.options.hot) {
-        decision.admission = Admission::kCritical;
-      }
-    } else if (resilience_enabled_ && !resilience_.default_scenario.empty()) {
-      // Unknown scenario under resilience: route by ring hash anyway so the
-      // shard engine's default-scenario degradation answers.
-      candidates = ring_.RouteReplicas(scenario, options_.replication);
+void ShardCoordinator::RankReplicas(Trip* trip) {
+  auto& candidates = trip->candidates;
+  candidates.clear();
+  trip->admission = Admission::kNormal;
+  MutexLock state(state_mu_);
+  std::vector<std::string> ids;
+  auto it = table_.find(trip->scenario);
+  if (it != table_.end()) {
+    ids = GroupLocked(it->second);
+    // Hot and everywhere-deployed scenarios (the resilience fallback /
+    // default paths among them) are the last traffic a loaded shard should
+    // drop: they bypass the soft shed watermark.
+    if (it->second.everywhere || it->second.options.hot) {
+      trip->admission = Admission::kCritical;
     }
-    if (candidates.size() >= 2) {
-      const uint64_t ticket =
-          pick_counter_.fetch_add(1, std::memory_order_relaxed);
-      const size_t n = candidates.size();
-      size_t a = static_cast<size_t>(Mix64(ticket) % n);
-      size_t b =
-          static_cast<size_t>(Mix64(ticket ^ 0x5851f42d4c957f2dull) % n);
-      if (a == b) b = (b + 1) % n;
-      const WorkerShard* sa = shards_by_id_.at(candidates[a]);
-      const WorkerShard* sb = shards_by_id_.at(candidates[b]);
-      const size_t best = sa->QueueDepth() <= sb->QueueDepth() ? a : b;
-      std::swap(candidates[0], candidates[best]);
-    }
+  } else if (resilience_enabled_ && !resilience_.default_scenario.empty()) {
+    // Unknown scenario under resilience: route by ring hash anyway so the
+    // shard engine's default-scenario degradation answers.
+    ids = ring_.RouteReplicas(trip->scenario, options_.replication);
   }
-  return decision;
+  for (const std::string& id : ids) {
+    candidates.emplace_back(shards_by_id_.at(id), breakers_.at(id).get());
+  }
+  if (!trip->coalesce && candidates.size() >= 2) {
+    const uint64_t ticket =
+        pick_counter_.fetch_add(1, std::memory_order_relaxed);
+    const size_t n = candidates.size();
+    size_t a = static_cast<size_t>(Mix64(ticket) % n);
+    size_t b = static_cast<size_t>(Mix64(ticket ^ 0x5851f42d4c957f2dull) % n);
+    if (a == b) b = (b + 1) % n;
+    const bool a_wins = candidates[a].first->QueueDepth() <=
+                        candidates[b].first->QueueDepth();
+    std::swap(candidates[0], candidates[a_wins ? a : b]);
+  }
 }
 
 Result<std::vector<float>> ShardCoordinator::Predict(
     const std::string& scenario, const data::Batch& batch,
     const obs::RequestContext& ctx) {
-  return PredictPreferring("", scenario, batch, ctx);
+  // Request-linked span for sampled requests; its context parents the
+  // per-shard dispatch spans so Perfetto shows one causal lane per request.
+  obs::TraceSpan request_span("serving/coordinator/predict", ctx);
+  auto promise = std::make_shared<std::promise<Result<std::vector<float>>>>();
+  std::future<Result<std::vector<float>>> future = promise->get_future();
+  auto trip = std::make_shared<Trip>();
+  trip->scenario = scenario;
+  trip->batch = &batch;
+  trip->ctx = request_span.context();
+  trip->done = [promise](Result<std::vector<float>> result) {
+    promise->set_value(std::move(result));
+  };
+  RouteTrip(std::move(trip));
+  return future.get();
 }
 
-Result<std::vector<float>> ShardCoordinator::PredictPreferring(
-    const std::string& preferred_shard, const std::string& scenario,
-    const data::Batch& batch, const obs::RequestContext& ctx) {
-  // Request-linked span for sampled requests; rctx parents the per-shard
-  // dispatch spans under it so Perfetto shows one causal lane per request.
-  obs::TraceSpan request_span("serving/coordinator/predict", ctx);
-  const obs::RequestContext rctx = request_span.context();
-  Status last = Status::NotFound("scenario " + scenario + " not deployed");
-  // Each extra round is only taken after a rebalance (a shard left the
-  // ring), so num_shards rounds bound the loop while guaranteeing a request
-  // that keeps finding dead shards still reaches the re-routed replicas —
-  // the zero-lost-requests contract of the scale bench.
-  for (int round = 0; round <= options_.num_shards; ++round) {
-    RouteDecision decision;
-    {
-      obs::SegmentTimer route_timer(rctx, obs::segment::kRoute);
-      decision = RankedReplicas(scenario);
+void ShardCoordinator::EnqueuePredict(const std::string& scenario,
+                                      data::Batch row,
+                                      const obs::RequestContext& ctx,
+                                      PredictCallback done) {
+  auto trip = std::make_shared<Trip>();
+  trip->scenario = scenario;
+  trip->row = std::move(row);
+  trip->batch = &trip->row;
+  trip->coalesce = true;
+  trip->ctx = ctx;
+  trip->done = std::move(done);
+  RouteTrip(std::move(trip));
+}
+
+void ShardCoordinator::RouteTrip(std::shared_ptr<Trip> trip) {
+  for (;;) {
+    if (trip->next == trip->candidates.size()) {
+      // Round over. Only a rebalance can change the candidates; then the
+      // next round re-routes on the shrunken ring (at most num_shards extra
+      // rounds) — the zero-lost-requests contract.
+      if (trip->round > 0 &&
+          (!trip->rebalanced || trip->round > options_.num_shards)) {
+        Finish(trip.get());
+        return;
+      }
+      ++trip->round;
+      trip->rebalanced = false;
+      trip->next = 0;
+      {
+        obs::SegmentTimer route_timer(trip->ctx, obs::segment::kRoute);
+        RankReplicas(trip.get());
+      }
+      if (trip->candidates.empty()) {
+        Finish(trip.get());
+        return;
+      }
     }
-    std::vector<std::string>& candidates = decision.candidates;
-    if (!preferred_shard.empty()) {
-      // Shard affinity (BatchPredictor locality): only honored while the
-      // preferred shard is still in the replica group — after a rebalance
-      // it may no longer hold the model.
-      auto it = std::find(candidates.begin(), candidates.end(),
-                          preferred_shard);
-      if (it != candidates.end()) std::swap(candidates.front(), *it);
+    const auto [worker, breaker] = trip->candidates[trip->next++];
+    // A failed attempt is booked as failover or shed_requeue; the shard
+    // books the successful one.
+    if (trip->ctx.sampled()) trip->attempt_us = obs::MonotonicMicros();
+    if (worker->dead()) {
+      HandleShardDeath(worker->id());
+      trip->rebalanced = true;
+      trip->last = Status::Unavailable("shard " + worker->id() + " is dead");
+      BookAttempt(trip->ctx, trip->attempt_us, obs::segment::kFailover);
+      continue;
     }
-    if (candidates.empty()) break;
-    bool rebalanced = false;
-    for (const std::string& id : candidates) {
-      // Meters this attempt; failed attempts are claimed as failover /
-      // shed_requeue below, the successful one is left for the shard to
-      // attribute as queue_wait + compute (the timer then discards it).
-      obs::SegmentTimer attempt(rctx);
-      WorkerShard* worker = FindShard(id);
-      if (worker == nullptr) continue;
-      if (worker->dead()) {
-        HandleShardDeath(id);
-        rebalanced = true;
-        last = Status::Unavailable("shard " + id + " is dead");
-        attempt.RecordAs(obs::segment::kFailover);
-        continue;
-      }
-      resilience::CircuitBreaker* breaker = BreakerOf(id);
-      if (breaker != nullptr && !breaker->AllowRequest()) {
-        last = Status::Unavailable("shard " + id + " breaker open");
-        attempt.RecordAs(obs::segment::kFailover);
-        continue;
-      }
-      Result<std::vector<float>> result =
-          worker->SubmitPredict(scenario, batch, decision.admission, rctx)
-              .get();
-      if (result.ok()) {
-        if (breaker != nullptr) breaker->RecordSuccess();
-        admission_accepted_->Add(1);
-        return result;
-      }
-      const Status status = result.status();
-      if (status.code() == StatusCode::kNotFound ||
-          status.code() == StatusCode::kInvalidArgument) {
-        // Deploy-state error or a malformed request, identical on every
-        // replica — not a shard health signal, and failing over would only
-        // repeat it.
-        return result;
-      }
-      if (status.code() == StatusCode::kResourceExhausted) {
-        // Admission shed: the shard is alive but over capacity. Another
-        // replica may still have headroom, so keep trying the group — but
-        // this is load, not failure: no breaker damage, no rebalance.
-        last = status;
-        attempt.RecordAs(obs::segment::kShedRequeue);
-        continue;
-      }
-      if (breaker != nullptr) breaker->RecordFailure();
-      failovers_->Add(1);
-      last = status;
-      if (worker->dead() ||
-          (breaker != nullptr &&
-           breaker->state() == resilience::BreakerState::kOpen)) {
-        HandleShardDeath(id);
-        rebalanced = true;
-      }
-      attempt.RecordAs(obs::segment::kFailover);
+    if (!breaker->AllowRequest()) {
+      trip->last =
+          Status::Unavailable("shard " + worker->id() + " breaker open");
+      BookAttempt(trip->ctx, trip->attempt_us, obs::segment::kFailover);
+      continue;
     }
-    // Without a rebalance the candidate set cannot change; with one, the
-    // next round re-routes against the shrunken ring.
-    if (!rebalanced) break;
+    Trip* raw = trip.get();
+    // Once the shard accepts the task, the trip belongs to its callback.
+    const Status admitted = worker->Enqueue(
+        raw->scenario, raw->batch, raw->admission, raw->ctx,
+        raw->coalesce,
+        [this, trip, worker, breaker](Result<std::vector<float>> result,
+                                      bool shared) {
+          if (!Settle(trip.get(), worker, breaker, std::move(result),
+                      shared)) {
+            RouteTrip(trip);
+          }
+        });
+    if (admitted.ok() ||
+        Settle(raw, worker, breaker, admitted, /*shared=*/false)) {
+      return;
+    }
   }
-  if (last.code() == StatusCode::kResourceExhausted) {
+}
+
+bool ShardCoordinator::Settle(Trip* trip, WorkerShard* worker,
+                              resilience::CircuitBreaker* breaker,
+                              Result<std::vector<float>> result,
+                              bool shared) {
+  if (result.ok()) {
+    if (!shared) breaker->RecordSuccess();
+    admission_accepted_->Add(1);
+    trip->done(std::move(result));
+    return true;
+  }
+  const Status status = result.status();
+  if (status.code() == StatusCode::kNotFound ||
+      status.code() == StatusCode::kInvalidArgument ||
+      stopping_.load()) {
+    // Deploy-state error or a malformed request, identical on every
+    // replica — not a shard health signal, and failing over would only
+    // repeat it. A stopping coordinator retries nothing.
+    trip->done(std::move(result));
+    return true;
+  }
+  trip->last = status;
+  if (status.code() == StatusCode::kResourceExhausted) {
+    // Admission shed: the shard is alive but over capacity. Another
+    // replica may still have headroom, so keep trying the group — but this
+    // is load, not failure: no breaker damage, no rebalance.
+    BookAttempt(trip->ctx, trip->attempt_us, obs::segment::kShedRequeue);
+    return false;
+  }
+  if (!shared) {
+    // One engine call is one health signal, however many rows rode in it.
+    breaker->RecordFailure();
+    failovers_->Add(1);
+  }
+  if (worker->dead() ||
+      breaker->state() == resilience::BreakerState::kOpen) {
+    HandleShardDeath(worker->id());
+    trip->rebalanced = true;
+  }
+  BookAttempt(trip->ctx, trip->attempt_us, obs::segment::kFailover);
+  return false;
+}
+
+void ShardCoordinator::Finish(Trip* trip) {
+  if (trip->last.ok()) {
+    trip->last = Status::NotFound("scenario " + trip->scenario +
+                                  " not deployed");
+  }
+  if (trip->last.code() == StatusCode::kResourceExhausted) {
     // Every live replica shed the request: reject it loudly (the caller
     // sees kResourceExhausted, never a silent drop) and count it.
     admission_shed_->Add(1);
-  } else if (last.code() != StatusCode::kNotFound) {
+  } else if (trip->last.code() != StatusCode::kNotFound) {
     no_replica_available_->Add(1);
   }
-  return last;
+  trip->done(trip->last);
 }
 
 void ShardCoordinator::EnableResilience(
     const ServingResilienceOptions& options, resilience::Clock* clock) {
   MutexLock control(control_mu_);
-  std::vector<WorkerShard*> workers;
-  {
-    MutexLock state(state_mu_);
-    workers.reserve(shards_.size());
-    for (auto& worker : shards_) workers.push_back(worker.get());
-  }
-  for (WorkerShard* worker : workers) {
+  for (WorkerShard* worker : Workers()) {
     worker->engine()->ConfigureResilience(options, clock);
   }
   MutexLock state(state_mu_);
@@ -406,9 +432,7 @@ void ShardCoordinator::EnableResilience(
 
 Status ShardCoordinator::KillShard(const std::string& shard_id) {
   WorkerShard* worker = FindShard(shard_id);
-  if (worker == nullptr) {
-    return Status::NotFound("unknown shard " + shard_id);
-  }
+  if (worker == nullptr) return Status::NotFound("unknown shard " + shard_id);
   worker->Kill();
   return Status::OK();
 }
@@ -424,6 +448,13 @@ Status ShardCoordinator::EvictShard(const std::string& shard_id) {
 }
 
 void ShardCoordinator::HandleShardDeath(const std::string& shard_id) {
+  {
+    // Callbacks of the shard's queued tasks all land here; once it is
+    // rebalanced away they return without waiting on control_mu_, which a
+    // re-join holds through its staged pauses.
+    MutexLock state(state_mu_);
+    if (!RoutableLocked(shard_id)) return;
+  }
   MutexLock control(control_mu_);
   HandleShardDeathLocked(shard_id);
 }
@@ -446,14 +477,12 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
       item.scenario = scenario;
       item.snapshot.version = entry.version;
       item.snapshot.options = entry.options;
-      item.snapshot.everywhere = entry.everywhere;
       if (entry.everywhere) {
         // Every remaining shard already holds it; just shrink the group.
         item.new_replicas = ring_.Shards();
       } else {
-        const int want = entry.options.hot ? options_.hot_replication
-                                           : options_.replication;
-        item.new_replicas = ring_.RouteReplicas(scenario, want);
+        item.new_replicas =
+            ring_.RouteReplicas(scenario, ReplicationFor(entry.options));
         for (const std::string& id : item.new_replicas) {
           if (!Contains(entry.replicas, id)) item.add_targets.push_back(id);
         }
@@ -473,8 +502,8 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
   // keeps the table stable meanwhile.
   for (Affected& item : affected) {
     for (const std::string& target : item.add_targets) {
-      WorkerShard* worker = LiveShard(target);
-      if (worker == nullptr) continue;
+      WorkerShard* worker = FindShard(target);
+      if (worker == nullptr || worker->dead()) continue;
       std::istringstream in(item.snapshot.bundle);
       Result<std::unique_ptr<models::BaseModel>> loaded = LoadModelBundle(&in);
       Status status = loaded.ok()
@@ -492,13 +521,9 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
   }
   MutexLock state(state_mu_);
   for (Affected& item : affected) {
+    // control_mu_ has kept every entry as it was snapshotted.
     auto it = table_.find(item.scenario);
-    // Version check: a Deploy cannot have raced (control_mu_ is held), but
-    // an Undeploy-then-Deploy sequence is impossible for the same reason;
-    // the guard is belt-and-braces against future concurrent writers.
-    if (it != table_.end() && it->second.version == item.snapshot.version) {
-      it->second.replicas = std::move(item.new_replicas);
-    }
+    if (it != table_.end()) it->second.replicas = std::move(item.new_replicas);
   }
   PublishImbalanceLocked();
 }
@@ -506,9 +531,7 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
 Status ShardCoordinator::RejoinShard(const std::string& shard_id) {
   MutexLock control(control_mu_);
   WorkerShard* worker = FindShard(shard_id);
-  if (worker == nullptr) {
-    return Status::NotFound("unknown shard " + shard_id);
-  }
+  if (worker == nullptr) return Status::NotFound("unknown shard " + shard_id);
   if (!worker->dead()) {
     return Status::FailedPrecondition("shard " + shard_id +
                                       " is live; nothing to rejoin");
@@ -534,7 +557,7 @@ Status ShardCoordinator::AddShard(const std::string& shard_id) {
   if (FindShard(shard_id) != nullptr) {
     return Status::AlreadyExists("shard " + shard_id + " already exists");
   }
-  auto owned = std::make_unique<WorkerShard>(shard_id, registry_);
+  auto owned = std::make_unique<WorkerShard>(shard_id, registry_, batching_);
   WorkerShard* worker = owned.get();
   ConfigureWorker(worker);
   bool configure_resilience = false;
@@ -559,50 +582,34 @@ Status ShardCoordinator::AddShard(const std::string& shard_id) {
 
 Status ShardCoordinator::AdmitShardLocked(WorkerShard* worker) {
   const std::string& id = worker->id();
-  resilience::CircuitBreaker* breaker = BreakerOf(id);
-  // The shard must not inherit the failure streak that evicted it.
-  if (breaker != nullptr) breaker->Reset();
   // Final assignment: every scenario the fully-admitted ring will place on
   // this shard (plus all everywhere deployments). Computed on a ring COPY —
   // the live ring is untouched until the models are in place.
-  struct Assigned {
-    std::string scenario;
-    std::string bundle;
-    DeployOptions options;
-    uint64_t version = 0;
-  };
-  std::vector<Assigned> assigned;
+  std::vector<std::pair<std::string, ScenarioEntry>> assigned;
   {
     MutexLock state(state_mu_);
+    // The shard must not inherit the failure streak that evicted it.
+    breakers_.at(id)->Reset();
     HashRing future_ring = ring_;
     future_ring.AddShard(id);  // alt_lint: allow(L008): void HashRing::AddShard
     for (const auto& [scenario, entry] : table_) {
-      bool wanted = entry.everywhere;
-      if (!wanted) {
-        const int want = entry.options.hot ? options_.hot_replication
-                                           : options_.replication;
-        wanted = Contains(future_ring.RouteReplicas(scenario, want), id);
+      const int want = ReplicationFor(entry.options);
+      if (entry.everywhere ||
+          Contains(future_ring.RouteReplicas(scenario, want), id)) {
+        assigned.emplace_back(scenario, entry);
       }
-      if (!wanted) continue;
-      Assigned item;
-      item.scenario = scenario;
-      item.bundle = entry.bundle;
-      item.options = entry.options;
-      item.version = entry.version;
-      assigned.push_back(std::move(item));
     }
   }
   // Warm pre-deploy from the cached bundles at current versions, BEFORE any
   // ring mutation: a key never routes to this shard until the model it
   // needs is already swapped in. Any failure aborts the admission with the
   // ring unchanged (models already deployed are harmless — unrouted).
-  for (const Assigned& item : assigned) {
-    std::istringstream in(item.bundle);
+  for (const auto& [scenario, entry] : assigned) {
+    std::istringstream in(entry.bundle);
     Result<std::unique_ptr<models::BaseModel>> loaded = LoadModelBundle(&in);
     if (!loaded.ok()) return loaded.status();
-    ALT_RETURN_IF_ERROR(worker->Deploy(item.scenario,
-                                       std::move(loaded).value(),
-                                       item.options, item.version));
+    ALT_RETURN_IF_ERROR(worker->Deploy(scenario, std::move(loaded).value(),
+                                       entry.options, entry.version));
   }
   // Staged vnode admission: vnode indices are stable, so ownership grows
   // monotonically stage over stage and each stage moves only the keys
@@ -620,9 +627,8 @@ Status ShardCoordinator::AdmitShardLocked(WorkerShard* worker) {
       ring_.AddShardVnodes(id, target);
       for (auto& [scenario, entry] : table_) {
         if (entry.everywhere) continue;
-        const int want = entry.options.hot ? options_.hot_replication
-                                           : options_.replication;
-        entry.replicas = ring_.RouteReplicas(scenario, want);
+        entry.replicas =
+            ring_.RouteReplicas(scenario, ReplicationFor(entry.options));
       }
       PublishImbalanceLocked();
     }
@@ -641,21 +647,9 @@ std::vector<std::string> ShardCoordinator::UnservableScenarios() const {
   MutexLock state(state_mu_);
   for (const auto& [scenario, entry] : table_) {
     bool live = false;
-    if (entry.everywhere) {
-      for (const auto& [id, worker] : shards_by_id_) {
-        if (ring_.HasShard(id) && !worker->dead()) {
-          live = true;
-          break;
-        }
-      }
-    } else {
-      for (const std::string& id : entry.replicas) {
-        auto it = shards_by_id_.find(id);
-        if (it != shards_by_id_.end() && !it->second->dead()) {
-          live = true;
-          break;
-        }
-      }
+    for (const std::string& id : GroupLocked(entry)) {
+      auto it = shards_by_id_.find(id);
+      live = live || (it != shards_by_id_.end() && !it->second->dead());
     }
     if (!live) out.push_back(scenario);
   }
@@ -671,11 +665,8 @@ std::vector<std::string> ShardCoordinator::ShardIds() const {
 }
 
 int ShardCoordinator::NumLiveShards() const {
-  MutexLock state(state_mu_);
   int live = 0;
-  for (const auto& worker : shards_) {
-    if (!worker->dead()) ++live;
-  }
+  for (WorkerShard* worker : Workers()) live += worker->dead() ? 0 : 1;
   return live;
 }
 
@@ -692,7 +683,7 @@ std::vector<std::string> ShardCoordinator::ReplicasOf(
   MutexLock state(state_mu_);
   auto it = table_.find(scenario);
   if (it == table_.end()) return {};
-  return it->second.everywhere ? ring_.Shards() : it->second.replicas;
+  return GroupLocked(it->second);
 }
 
 uint64_t ShardCoordinator::VersionOf(const std::string& scenario) const {
@@ -703,21 +694,14 @@ uint64_t ShardCoordinator::VersionOf(const std::string& scenario) const {
 
 std::map<std::string, resilience::BreakerState>
 ShardCoordinator::BreakerStates() const {
-  std::map<std::string, resilience::CircuitBreaker*> breakers;
-  std::vector<WorkerShard*> workers;
+  std::map<std::string, resilience::BreakerState> out;
   {
     MutexLock state(state_mu_);
     for (const auto& [id, breaker] : breakers_) {
-      breakers[id] = breaker.get();
+      out["shard:" + id] = breaker->state();
     }
-    workers.reserve(shards_.size());
-    for (const auto& worker : shards_) workers.push_back(worker.get());
   }
-  std::map<std::string, resilience::BreakerState> out;
-  for (const auto& [id, breaker] : breakers) {
-    out["shard:" + id] = breaker->state();
-  }
-  for (WorkerShard* worker : workers) {
+  for (WorkerShard* worker : Workers()) {
     for (const auto& [scenario, state] : worker->engine()->BreakerStates()) {
       auto it = out.find(scenario);
       // Worst state wins across shards (kOpen > kHalfOpen > kClosed).
@@ -728,6 +712,20 @@ ShardCoordinator::BreakerStates() const {
     }
   }
   return out;
+}
+
+std::vector<std::string> ShardCoordinator::GroupLocked(
+    const ScenarioEntry& entry) const {
+  return entry.everywhere ? ring_.Shards() : entry.replicas;
+}
+
+bool ShardCoordinator::RoutableLocked(const std::string& shard_id) const {
+  if (ring_.HasShard(shard_id)) return true;
+  for (const auto& [scenario, entry] : table_) {
+    // Everywhere groups follow the ring.
+    if (!entry.everywhere && Contains(entry.replicas, shard_id)) return true;
+  }
+  return false;
 }
 
 double ShardCoordinator::ImbalanceLocked() const {
@@ -772,23 +770,14 @@ Result<LatencyStats> ShardCoordinator::GetLatencyStats(
   }
   // All shard engines share the coordinator registry, so the per-scenario
   // histogram already aggregates latencies across the whole fleet.
-  const obs::HistogramSummary summary = registry_->histogram_summary(
-      ModelServer::LatencyMetricName(scenario));
-  LatencyStats stats;
-  stats.num_requests = summary.count;
-  stats.mean_ms = summary.mean;
-  stats.p50_ms = summary.p50;
-  stats.p95_ms = summary.p95;
-  stats.p99_ms = summary.p99;
-  stats.max_ms = summary.max;
-  return stats;
+  return ModelServer::RegistryLatencyStats(*registry_, scenario);
 }
 
 Result<int64_t> ShardCoordinator::FlopsPerSample(
     const std::string& scenario) const {
   for (const std::string& id : ReplicasOf(scenario)) {
-    const WorkerShard* worker = LiveShard(id);
-    if (worker == nullptr) continue;
+    const WorkerShard* worker = FindShard(id);
+    if (worker == nullptr || worker->dead()) continue;
     Result<int64_t> flops = worker->engine()->FlopsPerSample(scenario);
     if (flops.ok()) return flops;
   }

@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/data/dataset.h"
@@ -35,10 +37,8 @@ struct CoordinatorOptions {
   /// scenarios whose traffic justifies wider fan-out.
   int hot_replication = 2;
   /// Shard-health breakers: predict outcomes against each shard feed a
-  /// resilience::CircuitBreaker; an open breaker (or a dead shard) triggers
-  /// the rebalance path. The serving default is deliberately twitchier than
-  /// the library default — a dead shard fails every request, so three
-  /// consecutive failures is already a strong signal.
+  /// breaker whose opening triggers the rebalance. Twitchier than the
+  /// library default: a dead shard fails every request.
   static resilience::CircuitBreakerOptions DefaultShardBreaker() {
     resilience::CircuitBreakerOptions breaker;
     breaker.failure_threshold = 3;
@@ -47,14 +47,12 @@ struct CoordinatorOptions {
     return breaker;
   }
   resilience::CircuitBreakerOptions shard_breaker = DefaultShardBreaker();
-  /// SubmitPredict backpressure per shard; 0 = unbounded.
+  /// Queue cap per shard (hard backpressure); 0 = unbounded.
   int64_t max_queue_depth_per_shard = 0;
-  /// Soft load-shedding watermarks per shard, with hysteresis: once a
-  /// shard's queue reaches `shed_high_watermark`, non-critical submissions
-  /// are rejected with kResourceExhausted until the queue drains to
-  /// `shed_low_watermark`. Hot / everywhere-deployed scenarios bypass the
-  /// soft watermark (only the hard cap applies), so cold traffic sheds
-  /// first. `shed_high_watermark <= 0` disables soft shedding.
+  /// Soft load-shedding watermarks per shard, with hysteresis: from
+  /// `shed_high_watermark` until the queue drains to `shed_low_watermark`,
+  /// non-critical tasks are rejected with kResourceExhausted; hot /
+  /// everywhere scenarios only meet the hard cap. High <= 0 disables it.
   int64_t shed_high_watermark = 0;
   int64_t shed_low_watermark = 0;
   /// Staged re-join: a re-admitted shard's virtual nodes enter the ring in
@@ -75,41 +73,39 @@ struct CoordinatorOptions {
 ///
 /// Deploy is a broadcast: the model is serialized once, the original lands
 /// on the owner shard and bundle-clones on the other replicas, all gated by
-/// a monotonically increasing per-scenario version so a rebalance re-deploy
-/// can never clobber a newer model (no torn reads: each request is served
-/// whole by one replica, and each replica swaps atomically).
-///
-/// Predict balances over the scenario's live replicas with
-/// power-of-two-choices on shard queue depth, records per-shard breaker
-/// outcomes, and fails over to the remaining replicas on shard errors. A
-/// dead shard (Kill, or breaker forced open by consecutive failures)
-/// triggers HandleShardDeath: the shard leaves the ring and its scenarios
-/// re-deploy from cached bundles onto their new ring owners — only keys the
-/// ring moved, which is the consistent-hash minimal-disruption guarantee.
+/// a per-scenario version so a rebalance re-deploy can never clobber a
+/// newer model. Predict and EnqueuePredict share one route/failover loop:
+/// rank the live replicas, submit to one, and continue from that task's
+/// completion callback on failure. A dead shard (Kill, or breaker forced
+/// open by consecutive failures) triggers HandleShardDeath: the shard leaves
+/// the ring and its scenarios re-deploy from cached bundles onto their new
+/// ring owners — only keys the ring moved.
 ///
 /// Locking: `control_mu_` serializes control-plane operations
-/// (Deploy/Undeploy/rebalance) and is never held while scoring; `state_mu_`
+/// (Deploy/Undeploy/rebalance) and is never held while scoring or while a
+/// shard task's callback runs (Kill only marks a shard dead); `state_mu_`
 /// guards brief ring/table reads on the data plane. Order: control_mu_
 /// before state_mu_; bundle (de)serialization and engine deploys run
 /// outside state_mu_ so routing stays readable during a rebalance.
 ///
-/// Obs (shared registry):
-///   serving/rebalance_events                    counter
-///   serving/coordinator/rejoins                 counter: warm re-admissions
-///   serving/coordinator/failovers               counter: replica fail-overs
-///   serving/coordinator/no_replica_available    counter: exhausted groups
-///   serving/admission/shed                      counter: requests rejected
-///                                               with kResourceExhausted
-///   serving/admission/accepted                  counter: requests served
-///                                               after admission
-///   serving/coordinator/routing_imbalance       gauge: max/mean owner share
-///   serving/coordinator/broadcast_ms            histogram: deploy fan-out
-///   (plus per-shard queue depth / request counters from WorkerShard and
-///   breaker state gauges from resilience/circuit_breaker/state/shard:<id>)
+/// Obs (shared registry): serving/rebalance_events, and under
+/// serving/coordinator/ the counters rejoins, failovers,
+/// no_replica_available, the gauge routing_imbalance (max/mean owner share)
+/// and the histogram broadcast_ms; serving/admission/{shed,accepted} count
+/// requests rejected with kResourceExhausted and served after admission.
+/// Shard breakers report as resilience/circuit_breaker/state/shard:<id>.
 class ShardCoordinator {
  public:
+  /// Final answer of one EnqueuePredict request.
+  using PredictCallback = std::function<void(Result<std::vector<float>>)>;
+
+  /// `batching` sets the micro-batching limits of every shard dispatcher
+  /// (max_batch_size >= 1 and max_delay_ms >= 0 are checked).
   explicit ShardCoordinator(CoordinatorOptions options = {},
-                            obs::MetricsRegistry* registry = nullptr);
+                            obs::MetricsRegistry* registry = nullptr,
+                            BatchingOptions batching = {});
+  /// Stops every shard dispatcher first; tasks still queued then complete
+  /// Unavailable without a retry.
   ~ShardCoordinator();
 
   ShardCoordinator(const ShardCoordinator&) = delete;
@@ -134,26 +130,23 @@ class ShardCoordinator {
   std::vector<std::string> Scenarios() const;
 
   /// Routes to the scenario's replica group (power-of-two-choices over
-  /// queue depth), failing over on shard errors. With resilience enabled an
-  /// unknown scenario still routes by ring hash so the shard engine's
-  /// default-scenario degradation applies.
-  ///
-  /// A sampled `ctx` gets its wall time attributed along the way: `route`
-  /// for replica ranking, `failover` for failed attempts (including any
-  /// rebalance they trigger), `shed_requeue` for attempts rejected with
-  /// kResourceExhausted; the successful attempt's time lands as
-  /// queue_wait + compute on the shard side.
+  /// queue depth), failing over on shard errors, and waits for the answer.
+  /// With resilience enabled an unknown scenario still routes by ring hash
+  /// so the shard engine's default-scenario degradation applies. A sampled
+  /// `ctx` books `route` for replica ranking, `failover` for failed
+  /// attempts (and the rebalances they trigger), `shed_requeue` for shed
+  /// ones; the shard books the successful attempt as queue_wait + compute.
   Result<std::vector<float>> Predict(
       const std::string& scenario, const data::Batch& batch,
       const obs::RequestContext& ctx = obs::RequestContext());
 
-  /// Predict with shard affinity: tries `preferred_shard` first (the
-  /// BatchPredictor keeps per-shard queues to preserve batching locality),
-  /// failing over to the normal replica path when it is gone.
-  Result<std::vector<float>> PredictPreferring(
-      const std::string& preferred_shard, const std::string& scenario,
-      const data::Batch& batch,
-      const obs::RequestContext& ctx = obs::RequestContext());
+  /// Asynchronous one-row predict, coalesced by the shard dispatcher:
+  /// `row` goes to the replica group's first live shard (batching
+  /// locality) and fails over like Predict. `done` runs exactly once, with
+  /// one score or the final error, usually on a dispatcher thread; the
+  /// successful attempt's time lands as batch_wait + compute.
+  void EnqueuePredict(const std::string& scenario, data::Batch row,
+                      const obs::RequestContext& ctx, PredictCallback done);
 
   /// Configures graceful degradation on every shard engine. The caller is
   /// responsible for deploying `options.fallback_scenario` /
@@ -161,32 +154,28 @@ class ShardCoordinator {
   void EnableResilience(const ServingResilienceOptions& options,
                         resilience::Clock* clock = nullptr);
 
-  /// Chaos hook: kills the worker (its queue drains with Unavailable and
-  /// in-flight callers fail over). The rebalance itself triggers on the
-  /// next predicts against the dead shard, exactly as a real crash would.
+  /// Chaos hook: kills the worker (its dispatcher completes the queued
+  /// tasks with Unavailable and their trips fail over). The rebalance
+  /// triggers on the next predicts against the dead shard, exactly as a
+  /// real crash would.
   Status KillShard(const std::string& shard_id);
 
-  /// Proactively evicts a shard from the ring (kill + rebalance) without
-  /// waiting for data-plane traffic to trip its breaker — the
-  /// ShardSupervisor's teardown path once probes declare a shard dead.
+  /// Evicts a shard from the ring (kill + rebalance) without waiting for
+  /// traffic to trip its breaker — the ShardSupervisor's teardown path.
   /// Idempotent; NotFound for unknown ids.
   Status EvictShard(const std::string& shard_id);
 
-  /// Warm re-join of a previously killed/evicted shard: revives the worker
-  /// (clearing stale serving state), resets its health breaker, re-deploys
-  /// every scenario the fully-admitted ring will assign to it from the
-  /// cached bundles at current versions, and only then re-adds its virtual
-  /// nodes in `rejoin_stages` staged batches — routing shifts at most ~2/N
-  /// of the key space across the whole re-join, replica tables are
-  /// recomputed per stage, and no key ever routes to a shard that does not
-  /// already hold its model. NotFound for unknown ids; FailedPrecondition
-  /// when the shard is still live.
+  /// Warm re-join of a killed/evicted shard: revives the worker, resets its
+  /// breaker, re-deploys every scenario the fully-admitted ring will assign
+  /// to it from the cached bundles at current versions, and only then
+  /// re-adds its virtual nodes in `rejoin_stages` staged batches, so no key
+  /// ever routes to a shard without its model. NotFound for unknown ids;
+  /// FailedPrecondition when the shard is still live.
   Status RejoinShard(const std::string& shard_id);
 
-  /// Elastic scale-up: creates a brand-new WorkerShard (with the plane's
-  /// queue/admission configuration and resilience policy) and admits it
-  /// through the same warm staged protocol as RejoinShard. AlreadyExists
-  /// when the id is taken.
+  /// Elastic scale-up: creates a WorkerShard with the plane's configuration
+  /// and admits it through RejoinShard's warm staged protocol.
+  /// AlreadyExists when the id is taken.
   Status AddShard(const std::string& shard_id);
 
   /// Deployed scenarios with no live replica left — requests to these fail
@@ -207,9 +196,8 @@ class ShardCoordinator {
   /// engine breaker state across shards — the telemetry /healthz view.
   std::map<std::string, resilience::BreakerState> BreakerStates() const;
 
-  /// max/mean share of ring ownership over live shards (1.0 = perfectly
-  /// uniform), sampled over the deployed scenarios; also published to the
-  /// routing_imbalance gauge.
+  /// max/mean owner share over live shards and deployed scenarios (1.0 =
+  /// uniform); also published to the routing_imbalance gauge.
   double RoutingImbalance() const;
 
   Result<LatencyStats> GetLatencyStats(const std::string& scenario) const;
@@ -232,31 +220,53 @@ class ShardCoordinator {
     std::vector<std::string> replicas;
   };
 
-  /// Routing decision for one scenario: the candidate replica ids in
-  /// failover order plus the admission class its traffic submits with.
-  struct RouteDecision {
-    std::vector<std::string> candidates;
+  /// One request's trip through the route/failover loop.
+  struct Trip {
+    std::string scenario;
+    data::Batch row;  // The request's own batch on the EnqueuePredict path.
+    const data::Batch* batch = nullptr;  // &row, or the caller's batch.
+    bool coalesce = false;
+    obs::RequestContext ctx;
+    PredictCallback done;
+    /// This round's replicas in failover order, with their breakers.
+    std::vector<std::pair<WorkerShard*, resilience::CircuitBreaker*>>
+        candidates;
     Admission admission = Admission::kNormal;
+    size_t next = 0;  // Next candidate of this round.
+    int round = 0;
+    bool rebalanced = false;  // A shard left the ring during this round.
+    Status last;              // The answer if no attempt succeeds.
+    double attempt_us = 0.0;  // Start of the current attempt, when sampled.
   };
 
-  WorkerShard* LiveShard(const std::string& shard_id) const
-      ALT_EXCLUDES(state_mu_);
-  /// The worker registered under `shard_id` (dead or alive); nullptr when
-  /// unknown. Takes state_mu_ briefly: the shard maps grow at runtime via
-  /// AddShard.
+  /// Every worker, dead or alive.
+  std::vector<WorkerShard*> Workers() const ALT_EXCLUDES(state_mu_);
+  /// The worker under `shard_id`, dead or alive; nullptr when unknown.
   WorkerShard* FindShard(const std::string& shard_id) const
       ALT_EXCLUDES(state_mu_);
-  resilience::CircuitBreaker* BreakerOf(const std::string& shard_id) const
-      ALT_EXCLUDES(state_mu_);
-  /// The scenario's candidate replica ids in failover order: the
-  /// least-loaded of two sampled candidates first (power-of-two-choices on
-  /// queue depth). Dead shards stay in the list so the predict loop can
-  /// detect them and trigger the rebalance. Hot / everywhere scenarios are
-  /// marked kCritical so shards shed them last.
-  RouteDecision RankedReplicas(const std::string& scenario)
-      ALT_EXCLUDES(state_mu_);
+  /// Sets the trip's candidates in failover order: power-of-two-choices on
+  /// queue depth for a sync trip, group order (batching locality) for a
+  /// coalescable one. Dead shards stay listed so the loop triggers the
+  /// rebalance. Hot / everywhere scenarios are kCritical (shed last).
+  void RankReplicas(Trip* trip) ALT_EXCLUDES(state_mu_);
+  /// The route/failover loop: tries candidates until a shard accepts the
+  /// task (its callback continues the loop) or the trip finishes.
+  void RouteTrip(std::shared_ptr<Trip> trip)
+      ALT_EXCLUDES(control_mu_, state_mu_);
+  /// Books one attempt's outcome (breaker, counters, rebalance, segments).
+  /// A `shared` outcome repeats an earlier passenger's of the same engine
+  /// call and leaves the breaker and the failover count alone. True when
+  /// the trip finished; false to try the next candidate.
+  bool Settle(Trip* trip, WorkerShard* worker,
+              resilience::CircuitBreaker* breaker,
+              Result<std::vector<float>> result, bool shared)
+      ALT_EXCLUDES(control_mu_, state_mu_);
+  /// Ends a trip no attempt answered with its last status.
+  void Finish(Trip* trip);
   /// Removes a failed shard from the ring and re-deploys its scenarios onto
-  /// their new owners. Idempotent; serialized by control_mu_.
+  /// their new owners. Idempotent; serialized by control_mu_. May run on a
+  /// shard dispatcher (from a completion callback), whose queue then waits
+  /// for it; a shard already rebalanced away returns without control_mu_.
   void HandleShardDeath(const std::string& shard_id)
       ALT_EXCLUDES(control_mu_, state_mu_);
   void HandleShardDeathLocked(const std::string& shard_id)
@@ -269,19 +279,30 @@ class ShardCoordinator {
   /// Applies the plane's per-shard configuration (queue cap, shed
   /// watermarks) to a worker.
   void ConfigureWorker(WorkerShard* worker) const;
-  /// Deploys `original` (owner) + bundle clones (other targets) and commits
-  /// the entry into the table on success. `deploy_options` is the caller's
-  /// options (still carrying the calibration pointer); `entry->options` is
-  /// the calibration-free copy cached for rebalances.
-  Status BroadcastLocked(const std::string& scenario, ScenarioEntry* entry,
-                         std::unique_ptr<models::BaseModel> original,
-                         const DeployOptions& deploy_options,
-                         const std::vector<std::string>& targets)
-      ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
+  /// Deploy/DeployEverywhere: serializes `original` once, deploys it to
+  /// the owner and bundle clones to the other targets, and commits the
+  /// scenario entry on success. The entry caches the options without the
+  /// calibration pointer (dangling after the call) for rebalances.
+  Status Broadcast(const std::string& scenario,
+                   std::unique_ptr<models::BaseModel> original,
+                   const DeployOptions& deploy_options, bool everywhere)
+      ALT_EXCLUDES(control_mu_, state_mu_);
+  int ReplicationFor(const DeployOptions& deploy) const {
+    return deploy.hot ? options_.hot_replication : options_.replication;
+  }
+  /// The scenario's replica group: every ring shard for an everywhere
+  /// deployment, else its replicas.
+  std::vector<std::string> GroupLocked(const ScenarioEntry& entry) const
+      ALT_REQUIRES(state_mu_);
+  /// True while routing can still pick the shard: it is on the ring, or a
+  /// replica group names it because its rebalance has not finished.
+  bool RoutableLocked(const std::string& shard_id) const
+      ALT_REQUIRES(state_mu_);
   double ImbalanceLocked() const ALT_REQUIRES(state_mu_);
   void PublishImbalanceLocked() const ALT_REQUIRES(state_mu_);
 
   CoordinatorOptions options_;
+  const BatchingOptions batching_;
   obs::MetricsRegistry* registry_;
   resilience::Clock* clock_;
 
@@ -304,6 +325,8 @@ class ShardCoordinator {
   resilience::Clock* resilience_clock_ ALT_GUARDED_BY(state_mu_) = nullptr;
 
   std::atomic<uint64_t> pick_counter_{0};
+  /// Set by the destructor: trips stop retrying.
+  std::atomic<bool> stopping_{false};
 
   obs::Counter* rebalance_events_ = nullptr;       // Owned by the registry.
   obs::Counter* rejoins_ = nullptr;                // Owned by the registry.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -24,48 +25,64 @@ namespace alt {
 namespace serving {
 namespace shard {
 
-/// Admission class of one SubmitPredict. The coordinator maps scenario
+/// Admission class of one submitted task. The coordinator maps scenario
 /// placement to priority: hot / everywhere-deployed scenarios submit as
 /// kCritical and bypass the soft shed watermark (the hard queue cap still
 /// applies); everything else is kNormal and sheds first under pressure.
 enum class Admission { kNormal = 0, kCritical = 1 };
 
+/// Micro-batching limits of the shard dispatcher: a coalesced engine call
+/// takes up to `max_batch_size` rows and waits up to `max_delay_ms` after
+/// its first row for more, but only while nothing else is queued.
+struct BatchingOptions {
+  int64_t max_batch_size = 16;
+  double max_delay_ms = 2.0;
+};
+
 /// One worker of the sharded serving plane: a ModelServer engine owned by a
-/// dedicated serving thread. The coordinator talks to a shard through two
+/// dedicated dispatcher thread. The coordinator talks to a shard through two
 /// planes:
 ///   - control plane: Deploy/Undeploy, version-gated so a stale broadcast
 ///     (a rebalance racing a newer Deploy) can never overwrite a newer
-///     model — the swap itself is the engine's per-scenario atomic swap, so
-///     readers see the old model or the new one, never a torn mix;
-///   - data plane: SubmitPredict enqueues onto the shard's queue; the worker
-///     thread scores batches in arrival order on its own engine.
+///     model — the swap itself is the engine's per-scenario atomic swap;
+///   - data plane: Enqueue adds a task on the shard's one queue. The
+///     dispatcher scores tasks in arrival order and runs each task's
+///     completion callback on its own thread. A same-scenario run of
+///     coalescable (one-row) tasks at the queue front is scored in one
+///     engine call; synchronous tasks are never coalesced.
 ///
-/// Kill() simulates shard failure for chaos tests and the scale bench: the
-/// queue drains with Status::Unavailable (callers fail over to replicas —
-/// no request is silently lost) and every later submit fails fast. Revive()
-/// undoes a Kill for warm re-join: the worker thread (which parks rather
-/// than exit on Kill) resumes, with all serving state cleared so the
-/// coordinator can re-deploy current versions from its cached bundles.
+/// Kill() marks the shard dead; its dispatcher completes the tasks queued
+/// before the kill with Unavailable, and callers fail over. Revive() undoes
+/// a Kill for warm re-join, with all serving state cleared.
 ///
-/// Admission control: beyond the hard `max_queue_depth` cap, the shard
-/// sheds load between a high/low watermark pair with hysteresis — once the
-/// queue reaches the high watermark, kNormal submissions are rejected with
-/// Status::ResourceExhausted (never enqueued, never silently dropped) until
-/// the queue drains to the low watermark. kCritical submissions (hot or
-/// everywhere-deployed scenarios, decided by the coordinator) bypass the
-/// soft watermark and are only bounded by the hard cap, so cold traffic is
-/// shed before head traffic.
+/// Admission control: beyond the hard `max_queue_depth` cap, kNormal tasks
+/// are rejected with ResourceExhausted once the queue reaches the high shed
+/// watermark, until it drains to the low one (hysteresis). kCritical tasks
+/// (hot or everywhere-deployed scenarios) are only bounded by the hard cap,
+/// so cold traffic sheds first. Every task counts one, coalescable or not.
 ///
-/// Obs (shared registry, instance-labelled by shard id):
-///   serving/shard/queue_depth/<id>   gauge: requests queued + in flight
-///   serving/shard/requests/<id>      counter: requests served by the engine
-///   serving/shard/pressure/<id>      gauge: queue depth / high watermark
+/// Obs (shared registry): serving/shard/{queue_depth,requests,pressure}/<id>
+/// (tasks queued + in flight, engine calls, depth / high watermark), and per
+/// coalesced dispatch serving/batch_predictor/batches_dispatched,
+/// batch_size, and queue_high_watermark (deepest queue since the previous
+/// one). These count attempts, failed engine calls included: a request that
+/// fails over is counted again in the next shard's call. A task's metrics
+/// are updated before the depth drops for it.
 class WorkerShard {
  public:
+  /// Completion callback of one task: runs exactly once, on the dispatcher
+  /// thread (or the one calling Stop()), before the task leaves the depth.
+  /// `shared` is true for the passengers after the first of one coalesced
+  /// engine call: they repeat its outcome, so per-call bookkeeping (the
+  /// shard breaker) counts the first only.
+  using Done =
+      std::function<void(Result<std::vector<float>> result, bool shared)>;
+
   /// `registry == nullptr` selects the process-global registry. All shards
-  /// of one coordinator share a registry, so per-scenario latency
-  /// histograms aggregate across the fleet for free.
-  WorkerShard(std::string id, obs::MetricsRegistry* registry = nullptr);
+  /// of one coordinator share a registry.
+  explicit WorkerShard(std::string id,
+                       obs::MetricsRegistry* registry = nullptr,
+                       BatchingOptions batching = {});
   ~WorkerShard();
 
   WorkerShard(const WorkerShard&) = delete;
@@ -86,24 +103,25 @@ class WorkerShard {
   /// The scenario's deployed version on this shard; 0 when never deployed.
   uint64_t DeployedVersion(const std::string& scenario) const;
 
-  /// Enqueues a predict for the worker thread. `batch` must stay alive until
-  /// the future resolves (the coordinator blocks on it). A dead shard
-  /// resolves immediately with Status::Unavailable; an over-watermark queue
-  /// (soft shed, kNormal only) or a full queue (`max_queue_depth` > 0)
-  /// resolves immediately with Status::ResourceExhausted — rejected at
-  /// admission, never enqueued.
-  ///
-  /// A sampled `ctx` rides the task across the dispatcher queue: the worker
-  /// thread attributes queue_wait + compute segments to the request (on
-  /// success — a failed attempt's wall time is the coordinator's to claim as
-  /// failover) and records a request-linked dispatch span.
+  /// Enqueues a task; on OK, `done` runs exactly once and `batch` must live
+  /// until then. A rejected submit returns its status and never calls
+  /// `done`: Unavailable for a dead or stopped shard, ResourceExhausted for
+  /// a shedding (kNormal only) or full queue. A `coalesce` (one-row) task
+  /// may share an engine call with its same-scenario neighbours. A sampled
+  /// `ctx` gets queue_wait (batch_wait when coalesced) + compute on success.
+  Status Enqueue(const std::string& scenario, const data::Batch* batch,
+                 Admission admission, const obs::RequestContext& ctx,
+                 bool coalesce, Done done);
+
+  /// Enqueue of a synchronous task, answered through a future.
   std::future<Result<std::vector<float>>> SubmitPredict(
       const std::string& scenario, const data::Batch& batch,
       Admission admission = Admission::kNormal,
       const obs::RequestContext& ctx = obs::RequestContext());
 
-  /// Marks the shard dead: pending queue entries resolve with Unavailable,
-  /// later submits fail fast, the worker thread parks. Idempotent.
+  /// Marks the shard dead; the dispatcher completes the tasks already
+  /// queued with Unavailable, even while paused. Runs no callback on the
+  /// calling thread. Idempotent.
   void Kill();
   bool dead() const { return dead_.load(std::memory_order_acquire); }
 
@@ -112,11 +130,13 @@ class WorkerShard {
   /// and re-opens admission. FailedPrecondition unless the shard is dead.
   Status Revive();
 
+  /// Joins the dispatcher and completes every task still queued with
+  /// Unavailable on the calling thread. Idempotent; the destructor calls it.
+  void Stop();
+
   /// Soft shed watermarks with hysteresis: shedding starts when the queue
-  /// reaches `high` and stops once it drains to `low`. `high` <= 0 disables
-  /// soft shedding. Relaxed atomics: the coordinator's control plane may
-  /// retune them (e.g. on warm re-join) while submits are in flight; a
-  /// submit racing the store sheds under either the old or new watermark.
+  /// reaches `high` and stops once it drains to `low`; `high` <= 0 disables
+  /// it. Relaxed atomics: a submit racing a retune sheds under either.
   void set_shed_watermarks(int64_t high, int64_t low) {
     shed_high_watermark_.store(high, std::memory_order_relaxed);
     shed_low_watermark_.store(low, std::memory_order_relaxed);
@@ -125,30 +145,29 @@ class WorkerShard {
   /// True while the shard is between watermarks shedding kNormal load.
   bool shedding() const { return shedding_.load(std::memory_order_relaxed); }
 
-  /// Test hook: while paused the worker thread stops dequeuing, so tests
-  /// can build exact queue depths; admission behaves as in production.
-  /// Kill() and destruction still drain normally.
+  /// Test hook: while paused the dispatcher stops dequeuing, so tests can
+  /// build exact queue depths. Kill() and Stop() still drain the queue.
   void PauseDispatchForTesting(bool paused);
 
-  /// Requests queued or in flight — the load signal the coordinator's
+  /// Tasks queued or in flight — the load signal the coordinator's
   /// power-of-two-choices balancer compares.
   int64_t QueueDepth() const {
     return queue_depth_.load(std::memory_order_relaxed);
   }
+  /// Engine calls made so far (one per coalesced run).
   int64_t RequestsServed() const {
     return requests_served_.load(std::memory_order_relaxed);
   }
 
-  /// Backpressure limit for SubmitPredict; 0 (default) = unbounded.
-  /// Relaxed atomic for the same control-plane-vs-submit race as the
-  /// watermarks.
+  /// Backpressure limit for Enqueue; 0 (default) = unbounded. Relaxed atomic
+  /// for the same control-plane-vs-submit race as the watermarks.
   void set_max_queue_depth(int64_t depth) {
     max_queue_depth_.store(depth, std::memory_order_relaxed);
   }
 
   /// The shard-local engine. Exposed for control-plane wiring only
   /// (ConfigureResilience, breaker states, bundle export) — predictions go
-  /// through SubmitPredict so they run on the shard's thread.
+  /// through Enqueue so they run on the shard's thread.
   ModelServer* engine() { return &engine_; }
   const ModelServer* engine() const { return &engine_; }
 
@@ -156,20 +175,28 @@ class WorkerShard {
   struct Task {
     std::string scenario;
     const data::Batch* batch = nullptr;
-    std::promise<Result<std::vector<float>>> promise;
-    obs::RequestContext ctx;    // Sampled requests only; default = inert.
-    double enqueue_us = 0.0;    // MonotonicMicros at enqueue, when sampled.
+    bool coalesce = false;
+    Done done;
+    obs::RequestContext ctx;  // Sampled requests only; default = inert.
+    double enqueue_us = 0.0;  // When coalescable (deadline) or sampled.
+    uint64_t epoch = 0;  // kill_epoch_ at enqueue; stale = orphaned by Kill.
   };
 
-  void WorkerLoop();
+  void DispatchLoop() ALT_EXCLUDES(mu_);
+  /// Scores `run` (one task, or a coalesced run) and completes its tasks.
+  void Dispatch(std::vector<Task>* run);
+  /// Leading coalescable same-scenario tasks, capped at max_batch_size.
+  size_t RunLengthLocked() const ALT_REQUIRES(mu_);
+  /// Drops `n` completed tasks from the queue depth.
+  void Release(int64_t n);
 
-  /// Advances the hysteresis state machine for a queue at `depth` and
-  /// returns whether kNormal admissions are currently shed. Also refreshes
-  /// the pressure gauge. Lock-free; racing updates settle on the next call.
+  /// Advances the hysteresis state machine for a queue at `depth` (and the
+  /// pressure gauge); true while kNormal admissions are shed. Lock-free.
   bool UpdateShedState(int64_t depth);
 
   const std::string id_;
   obs::MetricsRegistry* registry_;
+  const BatchingOptions batching_;
   ModelServer engine_;
 
   std::atomic<bool> dead_{false};
@@ -182,17 +209,23 @@ class WorkerShard {
   obs::Gauge* queue_depth_gauge_ = nullptr;  // Owned by the registry.
   obs::Gauge* pressure_gauge_ = nullptr;     // Owned by the registry.
   obs::Counter* requests_total_ = nullptr;   // Owned by the registry.
+  obs::Counter* batches_dispatched_ = nullptr;    // Owned by the registry.
+  obs::Histogram* batch_size_ = nullptr;          // Owned by the registry.
+  obs::Histogram* queue_high_watermark_ = nullptr;  // Owned by the registry.
 
   mutable Mutex mu_;
   CondVar cv_;
   std::deque<Task> queue_ ALT_GUARDED_BY(mu_);
+  uint64_t kill_epoch_ ALT_GUARDED_BY(mu_) = 0;
+  // Deepest queue_ since the last coalesced dispatch.
+  int64_t high_watermark_ ALT_GUARDED_BY(mu_) = 0;
   bool stopping_ ALT_GUARDED_BY(mu_) = false;
   bool paused_ ALT_GUARDED_BY(mu_) = false;
 
   mutable Mutex versions_mu_;
   std::map<std::string, uint64_t> versions_ ALT_GUARDED_BY(versions_mu_);
 
-  std::thread worker_;  // Last member: joins in ~WorkerShard after state.
+  std::thread dispatcher_;  // Last member: starts after the state above.
 };
 
 }  // namespace shard

@@ -1,15 +1,16 @@
 // Coverage for the deployment export path and mixed-scenario batching
-// behavior of the async predictor.
+// behavior of the EnqueuePredict path.
 
 #include <cstdio>
 #include <filesystem>
+#include <future>
 
 #include "gtest/gtest.h"
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
-#include "src/serving/batch_predictor.h"
 #include "src/serving/model_server.h"
 #include "src/serving/model_store.h"
+#include "src/serving/serving_client.h"
 
 namespace alt {
 namespace serving {
@@ -60,28 +61,23 @@ TEST(ExportBundleTest, ExportErrors) {
       server.ExportBundle("bank", "/nonexistent/dir/x.altm").ok());
 }
 
-TEST(BatchPredictorTest, MixedScenariosAreRoutedCorrectly) {
+TEST(EnqueuePredictTest, MixedScenariosAreRoutedCorrectly) {
   // Two deployed scenarios with different weights; interleaved requests
   // must each be scored by their own model.
-  ModelServer server;
-  ASSERT_TRUE(server.Deploy("a", TinyModel(10)).ok());
-  ASSERT_TRUE(server.Deploy("b", TinyModel(777)).ok());
-  BatchPredictor::Options options;
-  options.max_batch_size = 4;
-  options.max_delay_ms = 5.0;
-  BatchPredictor predictor(
-      [&server](const std::string& s, const data::Batch& b,
-                const obs::RequestContext&) {
-        return server.Predict(s, b);
-      },
-      options);
+  obs::MetricsRegistry registry;
+  ServingClient::Options options;
+  options.batching.max_batch_size = 4;
+  options.batching.max_delay_ms = 5.0;
+  ServingClient client(options, &registry);
+  ASSERT_TRUE(client.Deploy("a", TinyModel(10)).ok());
+  ASSERT_TRUE(client.Deploy("b", TinyModel(777)).ok());
 
   Rng rng(4);
   Tensor profile = Tensor::Randn({1, 4}, &rng);
   std::vector<int64_t> behavior = {0, 1, 2, 3, 4};
-  auto fa = predictor.Enqueue("a", profile, behavior);
-  auto fb = predictor.Enqueue("b", profile, behavior);
-  auto fa2 = predictor.Enqueue("a", profile, behavior);
+  auto fa = client.EnqueuePredict("a", profile, behavior);
+  auto fb = client.EnqueuePredict("b", profile, behavior);
+  auto fa2 = client.EnqueuePredict("a", profile, behavior);
 
   Result<float> ra = fa.get();
   Result<float> rb = fb.get();
@@ -93,41 +89,41 @@ TEST(BatchPredictorTest, MixedScenariosAreRoutedCorrectly) {
   data::Batch probe = OneSample(4);
   probe.profiles = profile;
   probe.behaviors = behavior;
-  EXPECT_NEAR(ra.value(), server.Predict("a", probe).value()[0], 1e-5f);
-  EXPECT_NEAR(rb.value(), server.Predict("b", probe).value()[0], 1e-5f);
+  EXPECT_EQ(ra.value(), client.Predict("a", probe).value()[0]);
+  EXPECT_EQ(rb.value(), client.Predict("b", probe).value()[0]);
 }
 
-TEST(BatchPredictorTest, HighVolumeDrainsCompletely) {
-  // Private registry: QueueDepth/BatchesDispatched are registry views, so
-  // counts must not leak in from other tests in this binary.
+TEST(EnqueuePredictTest, HighVolumeDrainsCompletely) {
+  // Private registry: the batch counters must not leak in from other tests
+  // in this binary.
   obs::MetricsRegistry registry;
-  ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("s", TinyModel(5)).ok());
-  BatchPredictor::Options options;
-  options.max_batch_size = 16;
-  options.max_delay_ms = 1.0;
-  BatchPredictor predictor(
-      [&server](const std::string& s, const data::Batch& b,
-                const obs::RequestContext&) {
-        return server.Predict(s, b);
-      },
-      options, &registry);
+  ServingClient::Options options;
+  options.batching.max_batch_size = 16;
+  options.batching.max_delay_ms = 1.0;
+  ServingClient client(options, &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(5)).ok());
   Rng rng(6);
   std::vector<std::future<Result<float>>> futures;
   for (int i = 0; i < 200; ++i) {
     std::vector<int64_t> behavior(5);
     for (auto& id : behavior) id = rng.UniformInt(0, 7);
     futures.push_back(
-        predictor.Enqueue("s", Tensor::Randn({1, 4}, &rng), behavior));
+        client.EnqueuePredict("s", Tensor::Randn({1, 4}, &rng), behavior));
   }
   int ok_count = 0;
   for (auto& f : futures) {
     if (f.get().ok()) ++ok_count;
   }
   EXPECT_EQ(ok_count, 200);
-  EXPECT_EQ(predictor.QueueDepth(), 0u);
+  client.DrainBatchQueues();
+  EXPECT_EQ(client.GetStats().pending_batch_requests, 0);
   // Batching actually happened.
-  EXPECT_LT(predictor.BatchesDispatched(), 200);
+  EXPECT_LT(
+      registry.counter_value("serving/batch_predictor/batches_dispatched"),
+      200);
+  EXPECT_EQ(
+      registry.histogram_summary("serving/batch_predictor/batch_size").sum,
+      200.0);
 }
 
 }  // namespace

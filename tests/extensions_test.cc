@@ -1,9 +1,10 @@
 // Tests of the production extensions: CMA-ES tuner internals, AdamW,
-// learning-rate schedules, the batching async predictor, and AltSystem
-// state persistence.
+// learning-rate schedules, the micro-batched EnqueuePredict path, and
+// AltSystem state persistence.
 
 #include <cstdio>
 #include <filesystem>
+#include <future>
 
 #include "gtest/gtest.h"
 #include "src/autograd/ops.h"
@@ -13,7 +14,7 @@
 #include "src/obs/metrics.h"
 #include "src/opt/lr_schedule.h"
 #include "src/opt/optimizer.h"
-#include "src/serving/batch_predictor.h"
+#include "src/serving/serving_client.h"
 
 namespace alt {
 namespace {
@@ -160,7 +161,7 @@ TEST(LrScheduleTest, CosineMonotoneDecreaseToFloor) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchPredictor
+// EnqueuePredict micro-batching
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<models::BaseModel> SmallServingModel() {
@@ -173,21 +174,23 @@ std::unique_ptr<models::BaseModel> SmallServingModel() {
   return std::move(model).value();
 }
 
-TEST(BatchPredictorTest, CoalescesAndMatchesDirectPredict) {
-  // Private registry: BatchesDispatched is a registry view and must count
-  // only this test's batches.
+serving::ServingClient::Options OneShardBatching(int64_t max_batch_size,
+                                                 double max_delay_ms) {
+  serving::ServingClient::Options options;
+  options.batching.max_batch_size = max_batch_size;
+  options.batching.max_delay_ms = max_delay_ms;
+  return options;
+}
+
+TEST(EnqueuePredictTest, CoalescesAndMatchesDirectPredict) {
+  // Private registry: the batch counters must count only this test's
+  // batches.
   obs::MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("s", SmallServingModel()).ok());
-  serving::BatchPredictor::Options options;
-  options.max_batch_size = 8;
-  options.max_delay_ms = 20.0;
-  serving::BatchPredictor predictor(
-      [&server](const std::string& scenario, const data::Batch& batch,
-                const obs::RequestContext&) {
-        return server.Predict(scenario, batch);
-      },
-      options, &registry);
+  serving::ServingClient client(OneShardBatching(8, 20.0), &registry);
+  ASSERT_TRUE(client.Deploy("s", SmallServingModel()).ok());
+  // Paused, the shard queues all eight requests, so they must leave as one
+  // coalesced engine call.
+  client.coordinator()->shard("shard-0")->PauseDispatchForTesting(true);
 
   Rng rng(4);
   std::vector<std::future<Result<float>>> futures;
@@ -198,61 +201,56 @@ TEST(BatchPredictorTest, CoalescesAndMatchesDirectPredict) {
     std::vector<int64_t> seq(5);
     for (auto& id : seq) id = rng.UniformInt(0, 7);
     behaviors.push_back(seq);
-    futures.push_back(predictor.Enqueue("s", profiles.back(), seq));
+    futures.push_back(client.EnqueuePredict("s", profiles.back(), seq));
   }
+  client.coordinator()->shard("shard-0")->PauseDispatchForTesting(false);
   for (int i = 0; i < 8; ++i) {
     Result<float> result = futures[static_cast<size_t>(i)].get();
     ASSERT_TRUE(result.ok());
-    // Cross-check against a direct single-sample Predict.
+    // Cross-check against a direct single-sample Predict: rows are
+    // independent, so coalescing changes no score.
     data::Batch one;
     one.batch_size = 1;
     one.seq_len = 5;
     one.profiles = profiles[static_cast<size_t>(i)];
     one.behaviors = behaviors[static_cast<size_t>(i)];
     one.labels = Tensor({1, 1});
-    auto direct = server.Predict("s", one);
+    auto direct = client.Predict("s", one);
     ASSERT_TRUE(direct.ok());
-    EXPECT_NEAR(result.value(), direct.value()[0], 1e-5f);
+    EXPECT_EQ(result.value(), direct.value()[0]);
   }
-  // Coalescing must have used fewer model calls than requests (8 enqueues
-  // + 8 direct calls above; the batched portion is <= 8).
-  EXPECT_LE(predictor.BatchesDispatched(), 8);
+  EXPECT_EQ(
+      registry.counter_value("serving/batch_predictor/batches_dispatched"), 1);
+  EXPECT_EQ(
+      registry.histogram_summary("serving/batch_predictor/batch_size").max,
+      8.0);
 }
 
-TEST(BatchPredictorTest, UnknownScenarioErrorsThroughFuture) {
-  serving::ModelServer server;
-  serving::BatchPredictor predictor(
-      [&server](const std::string& scenario, const data::Batch& batch,
-                const obs::RequestContext&) {
-        return server.Predict(scenario, batch);
-      },
-      serving::BatchPredictor::Options{});
-  auto future = predictor.Enqueue("ghost", Tensor::Zeros({1, 4}),
-                                  {0, 0, 0, 0, 0});
+TEST(EnqueuePredictTest, UnknownScenarioErrorsThroughFuture) {
+  obs::MetricsRegistry registry;
+  serving::ServingClient client(OneShardBatching(16, 2.0), &registry);
+  auto future = client.EnqueuePredict("ghost", Tensor::Zeros({1, 4}),
+                                      {0, 0, 0, 0, 0});
   Result<float> result = future.get();
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
-TEST(BatchPredictorTest, ShapeMismatchRejectedPerRequest) {
-  serving::ModelServer server;
-  ASSERT_TRUE(server.Deploy("s", SmallServingModel()).ok());
-  serving::BatchPredictor::Options options;
-  options.max_batch_size = 2;
-  options.max_delay_ms = 5.0;
-  serving::BatchPredictor predictor(
-      [&server](const std::string& scenario, const data::Batch& batch,
-                const obs::RequestContext&) {
-        return server.Predict(scenario, batch);
-      },
-      options);
+TEST(EnqueuePredictTest, ShapeMismatchRejectedPerRequest) {
+  obs::MetricsRegistry registry;
+  serving::ServingClient client(OneShardBatching(2, 5.0), &registry);
+  ASSERT_TRUE(client.Deploy("s", SmallServingModel()).ok());
+  client.coordinator()->shard("shard-0")->PauseDispatchForTesting(true);
   Rng rng(5);
-  auto good = predictor.Enqueue("s", Tensor::Randn({1, 4}, &rng),
-                                {0, 1, 2, 3, 4});
-  auto bad = predictor.Enqueue("s", Tensor::Randn({1, 7}, &rng),
-                               {0, 1, 2, 3, 4});
+  auto good = client.EnqueuePredict("s", Tensor::Randn({1, 4}, &rng),
+                                    {0, 1, 2, 3, 4});
+  auto bad = client.EnqueuePredict("s", Tensor::Randn({1, 7}, &rng),
+                                   {0, 1, 2, 3, 4});
+  client.coordinator()->shard("shard-0")->PauseDispatchForTesting(false);
   EXPECT_TRUE(good.get().ok());
-  EXPECT_FALSE(bad.get().ok());
+  Result<float> rejected = bad.get();
+  EXPECT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 // Tests for the observability layer (src/obs): metrics registry exactness
 // under concurrency, percentile math on known distributions, trace span
 // nesting and Chrome trace_event export, disabled-mode zero recording, and
-// the wiring through ModelServer / BatchPredictor / ParallelFor.
+// the wiring through ModelServer / EnqueuePredict / ParallelFor.
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -15,8 +16,8 @@
 #include "src/obs/metrics.h"
 #include "src/obs/request_trace.h"
 #include "src/obs/trace.h"
-#include "src/serving/batch_predictor.h"
 #include "src/serving/model_server.h"
+#include "src/serving/serving_client.h"
 #include "src/util/json.h"
 #include "src/util/parallel_for.h"
 #include "src/util/rng.h"
@@ -397,7 +398,7 @@ TEST(TraceTest, NextSpanIdIsNonZeroAndDistinct) {
 }
 
 // ---------------------------------------------------------------------------
-// Wiring: ModelServer / BatchPredictor / ParallelFor
+// Wiring: ModelServer / EnqueuePredict / ParallelFor
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<models::BaseModel> TinyModel(uint64_t seed) {
@@ -442,73 +443,66 @@ TEST(WiringTest, ModelServerLatencyStatsViewsRegistryHistogram) {
   EXPECT_DOUBLE_EQ(stats.value().p99_ms, s.p99);
 }
 
-TEST(WiringTest, BatchPredictorCreateValidatesOptions) {
+TEST(WiringDeathTest, OutOfRangeBatchingOptionsAbort) {
+  // Batching limits are a configuration contract: a batch cap below one or
+  // a negative delay aborts construction instead of serving with a guess.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  serving::ServingClient::Options options;
+  options.batching.max_batch_size = 0;
+  EXPECT_DEATH({ serving::ServingClient dead(options); }, "Check failed");
+  options.batching.max_batch_size = 4;
+  options.batching.max_delay_ms = -1.0;
+  EXPECT_DEATH({ serving::ServingClient dead(options); }, "Check failed");
+  // In range, the client serves through the registry it was given.
+  options.batching.max_delay_ms = 1.0;
   MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  serving::BatchPredictor::PredictFn predict =
-      [&server](const std::string& scenario, const data::Batch& batch,
-                const obs::RequestContext&) {
-        return server.Predict(scenario, batch);
-      };
-  serving::BatchPredictor::Options options;
-
-  EXPECT_FALSE(serving::BatchPredictor::Create(
-                   serving::BatchPredictor::PredictFn(), options)
-                   .ok());
-  options.max_batch_size = 0;
-  EXPECT_FALSE(serving::BatchPredictor::Create(predict, options).ok());
-  options.max_batch_size = 4;
-  options.max_delay_ms = -1.0;
-  EXPECT_FALSE(serving::BatchPredictor::Create(predict, options).ok());
-  options.max_delay_ms = 1.0;
-  auto predictor =
-      serving::BatchPredictor::Create(predict, options, &registry);
-  ASSERT_TRUE(predictor.ok());
-  EXPECT_NE(predictor.value().get(), nullptr);
-  EXPECT_EQ(predictor.value()->registry(), &registry);
+  serving::ServingClient client(options, &registry);
+  EXPECT_EQ(client.registry(), &registry);
+  ASSERT_TRUE(client.Deploy("shop", TinyModel(20)).ok());
+  Rng rng(21);
+  EXPECT_TRUE(client.EnqueuePredict("shop", Tensor::Randn({1, 4}, &rng),
+                                    {0, 1, 2, 3, 4})
+                  .get()
+                  .ok());
 }
 
-TEST(WiringTest, BatchPredictorReportsThroughRegistryAndTraces) {
+TEST(WiringTest, EnqueuePredictReportsThroughRegistryAndTraces) {
   MetricsRegistry registry;
-  serving::ModelServer server(&registry);
-  ASSERT_TRUE(server.Deploy("shop", TinyModel(21)).ok());
-  serving::BatchPredictor::Options options;
-  options.max_batch_size = 8;
-  options.max_delay_ms = 1.0;
+  serving::ServingClient::Options options;
+  options.batching.max_batch_size = 8;
+  options.batching.max_delay_ms = 1.0;
+  options.trace.sample_rate = 1.0;  // Every request gets linked spans.
 
   TraceRecorder& global_trace = TraceRecorder::Global();
   if (global_trace.enabled()) global_trace.Clear();
 
   constexpr int kRequests = 32;
   {
-    serving::BatchPredictor predictor(
-        [&server](const std::string& scenario, const data::Batch& batch,
-                  const obs::RequestContext&) {
-          return server.Predict(scenario, batch);
-        },
-        options, &registry);
+    serving::ServingClient client(options, &registry);
+    ASSERT_TRUE(client.Deploy("shop", TinyModel(21)).ok());
     Rng rng(22);
     std::vector<std::future<Result<float>>> futures;
     for (int i = 0; i < kRequests; ++i) {
       std::vector<int64_t> behavior(5);
       for (auto& id : behavior) id = rng.UniformInt(0, 7);
-      futures.push_back(
-          predictor.Enqueue("shop", Tensor::Randn({1, 4}, &rng), behavior));
+      futures.push_back(client.EnqueuePredict(
+          "shop", Tensor::Randn({1, 4}, &rng), behavior));
     }
     int ok_count = 0;
     for (auto& f : futures) {
       if (f.get().ok()) ++ok_count;
     }
     EXPECT_EQ(ok_count, kRequests);
-    EXPECT_EQ(predictor.QueueDepth(), 0u);
-    EXPECT_GE(predictor.BatchesDispatched(), 1);
+    client.DrainBatchQueues();
+    EXPECT_EQ(client.GetStats().pending_batch_requests, 0);
 
     const int64_t batches =
         registry.counter_value("serving/batch_predictor/batches_dispatched");
-    EXPECT_EQ(predictor.BatchesDispatched(), batches);
-    EXPECT_EQ(
-        registry.histogram_summary("serving/batch_predictor/batch_size").count,
-        batches);
+    EXPECT_GE(batches, 1);
+    const HistogramSummary sizes =
+        registry.histogram_summary("serving/batch_predictor/batch_size");
+    EXPECT_EQ(sizes.count, batches);
+    EXPECT_EQ(sizes.sum, static_cast<double>(kRequests));
     // Every request's enqueue→reply latency was observed exactly once.
     EXPECT_EQ(registry
                   .histogram_summary("serving/batch_predictor/request_latency_ms")
@@ -517,23 +511,24 @@ TEST(WiringTest, BatchPredictorReportsThroughRegistryAndTraces) {
   }
 
   // A real run's trace exports as valid Chrome trace_event JSON containing
-  // the flush spans (dispatcher thread) recorded via the global recorder.
+  // the request-linked dispatch spans of the coalesced engine calls (shard
+  // dispatcher thread) recorded via the global recorder.
   if (global_trace.enabled()) {
     auto parsed = Json::Parse(global_trace.ToChromeJson().Dump());
     ASSERT_TRUE(parsed.ok());
     const Json::Array& events = parsed.value().at("traceEvents").as_array();
-    bool saw_flush = false;
+    bool saw_dispatch = false;
     for (const Json& e : events) {
       EXPECT_EQ(e.at("ph").as_string(), "X");
       EXPECT_TRUE(e.contains("ts"));
       EXPECT_TRUE(e.contains("dur"));
       EXPECT_TRUE(e.contains("pid"));
       EXPECT_TRUE(e.contains("tid"));
-      if (e.at("name").as_string() == "serving/batch_predictor/flush") {
-        saw_flush = true;
+      if (e.at("name").as_string() == "serving/shard/dispatch") {
+        saw_dispatch = true;
       }
     }
-    EXPECT_TRUE(saw_flush);
+    EXPECT_TRUE(saw_dispatch);
   }
 }
 

@@ -2,12 +2,15 @@
 // sharded plane — including the elastic lifecycle surface (warm re-join,
 // runtime AddShard, the shard-state HealthReport).
 
+#include <chrono>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/obs/metrics.h"
+#include "src/resilience/fault_injection.h"
 #include "src/serving/model_store.h"
 #include "src/serving/serving_client.h"
 
@@ -120,6 +123,11 @@ TEST(ServingClientTest, EnqueuePredictCoalescesAndMatchesSyncPath) {
   obs::MetricsRegistry registry;
   ServingClient client(SmallTopology(2, 1), &registry);
   ASSERT_TRUE(client.Deploy("s", TinyModel(5)).ok());
+  // The owner's dispatcher is parked while the requests queue, so they
+  // leave as coalesced runs of max_batch_size (4).
+  shard::WorkerShard* owner =
+      client.coordinator()->shard(client.coordinator()->ReplicasOf("s")[0]);
+  owner->PauseDispatchForTesting(true);
 
   Rng rng(6);
   std::vector<Tensor> profiles;
@@ -129,6 +137,7 @@ TEST(ServingClientTest, EnqueuePredictCoalescesAndMatchesSyncPath) {
     profiles.push_back(Tensor::Randn({1, 4}, &rng));
     futures.push_back(client.EnqueuePredict("s", profiles.back(), behavior));
   }
+  owner->PauseDispatchForTesting(false);
   for (int i = 0; i < 8; ++i) {
     Result<float> result = futures[static_cast<size_t>(i)].get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -137,10 +146,132 @@ TEST(ServingClientTest, EnqueuePredictCoalescesAndMatchesSyncPath) {
     one.behaviors = behavior;
     auto direct = client.Predict("s", one);
     ASSERT_TRUE(direct.ok());
-    EXPECT_NEAR(result.value(), direct.value()[0], 1e-5f);
+    // Rows are independent (bit for bit), so batching changes no score.
+    EXPECT_EQ(result.value(), direct.value()[0]);
   }
   client.DrainBatchQueues();
   EXPECT_EQ(client.GetStats().pending_batch_requests, 0);
+  EXPECT_EQ(
+      registry.counter_value("serving/batch_predictor/batches_dispatched"), 2);
+}
+
+TEST(ServingClientTest, EnqueuePredictUnknownScenarioIsNotFound) {
+  // An unknown scenario routes like Predict and resolves NotFound, also
+  // once a shard has joined under an id not of the form "shard-N".
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(2, 1), &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(21)).ok());
+  ASSERT_TRUE(client.AddShard("edge-a").ok());
+  Rng rng(22);
+  for (const std::string scenario : {"unknown-0", "unknown-1", "unknown-2"}) {
+    Result<float> result =
+        client.EnqueuePredict(scenario, Tensor::Randn({1, 4}, &rng),
+                              {0, 1, 2, 3, 4})
+            .get();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+  }
+}
+
+TEST(ServingClientTest, PoisonRequestFailsAloneOnBatchedPath) {
+  // One malformed request in a coalesced burst is refused on its own; the
+  // other fifteen ride the same engine call and score exactly as the sync
+  // path does. A malformed request is not a shard failure: no failover,
+  // and the shard breaker stays closed.
+  obs::MetricsRegistry registry;
+  ServingClient::Options options = SmallTopology(2, 2);
+  options.batching.max_batch_size = 16;
+  ServingClient client(options, &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(23)).ok());
+  const std::string owner = client.coordinator()->ReplicasOf("s").front();
+  client.coordinator()->shard(owner)->PauseDispatchForTesting(true);
+
+  constexpr int kPoison = 6;
+  std::vector<data::Batch> requests;
+  std::vector<std::future<Result<float>>> futures;
+  for (int i = 0; i < 16; ++i) {
+    data::Batch request = OneSample(100 + static_cast<uint64_t>(i));
+    if (i == kPoison) request.behaviors = {0, 1, 2, 3, 8};  // Vocabulary 8.
+    requests.push_back(request);
+    futures.push_back(
+        client.EnqueuePredict("s", request.profiles, request.behaviors));
+  }
+  client.coordinator()->shard(owner)->PauseDispatchForTesting(false);
+
+  for (int i = 0; i < 16; ++i) {
+    Result<float> result = futures[static_cast<size_t>(i)].get();
+    if (i == kPoison) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+    auto direct = client.Predict("s", requests[static_cast<size_t>(i)]);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(result.value(), direct.value()[0]) << i;
+  }
+  // All sixteen shared one coalesced engine call.
+  EXPECT_EQ(
+      registry.counter_value("serving/batch_predictor/batches_dispatched"), 1);
+  EXPECT_EQ(registry.counter_value("serving/coordinator/failovers"), 0);
+  EXPECT_EQ(client.BreakerStates().at("shard:" + owner),
+            resilience::BreakerState::kClosed);
+  EXPECT_EQ(client.NumLiveShards(), 2);
+}
+
+TEST(ServingClientTest, CoalescedEngineFailureChargesShardOnce) {
+  // One failed engine call is one shard-health signal, however many rows
+  // rode in it: sixteen coalesced rows failing together charge the owner's
+  // breaker (threshold 3) once and count one failover, so the healthy owner
+  // stays in the ring, and every row is then served by the other replica.
+  resilience::FaultInjector& faults = resilience::FaultInjector::Global();
+  faults.Reset();
+  obs::MetricsRegistry registry;
+  ServingClient::Options options = SmallTopology(2, 2);
+  options.batching.max_batch_size = 16;
+  ServingClient client(options, &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(29)).ok());
+  const std::vector<std::string> group = client.coordinator()->ReplicasOf("s");
+  ASSERT_EQ(group.size(), 2u);
+  shard::WorkerShard* owner = client.coordinator()->shard(group[0]);
+  shard::WorkerShard* backup = client.coordinator()->shard(group[1]);
+  owner->PauseDispatchForTesting(true);
+  backup->PauseDispatchForTesting(true);
+
+  std::vector<data::Batch> requests;
+  std::vector<std::future<Result<float>>> futures;
+  for (int i = 0; i < 16; ++i) {
+    requests.push_back(OneSample(300 + static_cast<uint64_t>(i)));
+    futures.push_back(client.EnqueuePredict("s", requests.back().profiles,
+                                            requests.back().behaviors));
+  }
+  resilience::FaultRule rule;
+  rule.every_nth = 1;  // Every engine call fails while armed.
+  faults.Arm("serving/predict", rule);
+  owner->PauseDispatchForTesting(false);
+  // The owner's one coalesced call fails; its rows fail over onto the
+  // paused backup. Disarm once they are all queued there.
+  while (backup->QueueDepth() < 16) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  faults.Reset();
+  backup->PauseDispatchForTesting(false);
+
+  for (int i = 0; i < 16; ++i) {
+    Result<float> result = futures[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+    auto direct = client.Predict("s", requests[static_cast<size_t>(i)]);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(result.value(), direct.value()[0]) << i;
+  }
+  // One failed call on the owner, one served call on the backup.
+  EXPECT_EQ(
+      registry.counter_value("serving/batch_predictor/batches_dispatched"), 2);
+  EXPECT_EQ(registry.counter_value("serving/coordinator/failovers"), 1);
+  EXPECT_EQ(client.BreakerStates().at("shard:" + group[0]),
+            resilience::BreakerState::kClosed);
+  EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 0);
+  EXPECT_EQ(client.NumLiveShards(), 2);
 }
 
 TEST(ServingClientTest, ShardDeathFailsBatchRequestsDistinctly) {

@@ -3,7 +3,8 @@
 // failover / batched paths, the slow-trace ring, SLO burn-rate windows on a
 // FakeClock, and a concurrent traced chaos section (the TSan target of
 // check.sh's request-trace stage — the request context crosses the
-// coordinator, shard dispatcher, and batch flush threads).
+// caller, the coordinator, and the shard dispatcher threads that coalesce
+// batches and run failover callbacks).
 
 #include <atomic>
 #include <chrono>

@@ -3,10 +3,13 @@
 // worker shard, and the ShardCoordinator (broadcast deploys, replica
 // failover, breaker-driven rebalance with zero lost requests).
 
+#include <atomic>
+#include <chrono>
 #include <future>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -596,6 +599,79 @@ TEST(ShardCoordinatorTest, AddShardJoinsRingAndServesAssignedScenarios) {
     }
     EXPECT_TRUE(coordinator.Predict(scenario, batch).ok());
   }
+}
+
+TEST(ShardCoordinatorTest, CallbackRebalanceDoesNotStallOtherShards) {
+  // A killed shard's dispatcher fails its queued task over, and the
+  // rebalance that failover starts waits behind a re-join that holds the
+  // control plane through a staged pause. Only that dispatcher waits:
+  // another shard answers a sync Predict meanwhile, and the stalled request
+  // is served once the rebalance has run.
+  obs::MetricsRegistry registry;
+  CoordinatorOptions options = SmallCoordinator(3, 1);
+  options.rejoin_stages = 2;
+  options.rejoin_stage_pause_ms = 600.0;
+  ShardCoordinator coordinator(options, &registry);
+  std::map<std::string, std::string> owner_of;
+  for (int s = 0; s < 8; ++s) {
+    const std::string scenario = "scenario_" + std::to_string(s);
+    ASSERT_TRUE(coordinator.Deploy(scenario, TinyModel(80 + s)).ok());
+    owner_of[scenario] = coordinator.ReplicasOf(scenario).front();
+  }
+  const std::string victim_id = owner_of["scenario_0"];
+  std::string other;
+  for (const auto& [scenario, owner] : owner_of) {
+    if (owner != victim_id) other = scenario;
+  }
+  ASSERT_FALSE(other.empty());
+
+  WorkerShard* victim = coordinator.shard(victim_id);
+  victim->PauseDispatchForTesting(true);
+  std::promise<Result<std::vector<float>>> answered;
+  std::future<Result<std::vector<float>>> stalled = answered.get_future();
+  coordinator.EnqueuePredict("scenario_0", OneSample(90),
+                             obs::RequestContext(),
+                             [&answered](Result<std::vector<float>> result) {
+                               answered.set_value(std::move(result));
+                             });
+  std::atomic<bool> added{false};
+  std::thread joiner([&] {
+    EXPECT_TRUE(coordinator.AddShard("shard-x").ok());
+    added.store(true);
+  });
+  // The newcomer is registered under control_mu_, which AddShard then
+  // holds through its staged pause.
+  while (coordinator.shard("shard-x") == nullptr) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(coordinator.KillShard(victim_id).ok());
+
+  const data::Batch batch = OneSample(91);
+  EXPECT_TRUE(coordinator.Predict(other, batch).ok());
+  EXPECT_FALSE(added.load());
+  EXPECT_EQ(stalled.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+
+  joiner.join();
+  Result<std::vector<float>> result = stalled.get();
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 1);
+  EXPECT_EQ(coordinator.NumLiveShards(), 3);
+
+  // Once the shard is rebalanced away, a late death report returns without
+  // waiting for the control plane.
+  added.store(false);
+  std::thread second([&] {
+    EXPECT_TRUE(coordinator.AddShard("shard-y").ok());
+    added.store(true);
+  });
+  while (coordinator.shard("shard-y") == nullptr) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(coordinator.EvictShard(victim_id).ok());
+  EXPECT_FALSE(added.load());
+  second.join();
+  EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 1);
 }
 
 // ---------------------------------------------------------------------------

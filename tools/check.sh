@@ -207,20 +207,27 @@ if wants serving-elastic; then
   # Serving-elastic stage: the shard lifecycle suite under ASan. Covers the
   # supervisor state machine (probe flap must never evict a healthy shard),
   # warm kill->rejoin with zero lost requests on both the direct and the
-  # batched path, staged ring admission movement bounds, and the
-  # shed-then-recover hysteresis contract.
+  # batched path (a killed shard's own dispatcher drains its queue into
+  # failover), staged ring admission movement bounds, the shed-then-recover
+  # hysteresis contract, a malformed request failing alone inside a
+  # coalesced batch, a failed coalesced engine call charging the shard
+  # breaker once, and a rebalance run from a dispatcher callback stalling
+  # no other shard.
   echo "==> serving-elastic stage (build-asan, shard lifecycle suite)"
   ./build-asan/tests/shard_test --gtest_filter=\
-'ShardSupervisorTest.*:*Rejoin*:*Shed*:*Staged*:*AddShard*:*HardQueueCap*'
+'ShardSupervisorTest.*:*Rejoin*:*Shed*:*Staged*:*AddShard*:*HardQueueCap*:'\
+'*CallbackRebalance*'
   ./build-asan/tests/serving_client_test --gtest_filter=\
-'*KillRejoin*:*AddShardGrows*:*GetHealthReflects*'
+'*KillRejoin*:*AddShardGrows*:*GetHealthReflects*:*ShardDeath*:*PoisonRequest*:'\
+'*ChargesShardOnce*'
 fi
 
 if wants request-trace; then
   ensure_release_build
   # Request-trace stage: the traced serving chaos suite under TSan (the
-  # request context crosses the coordinator, shard dispatcher, and batch
-  # flush threads — exactly the handoffs TSan can falsify), then two traced
+  # request context crosses the caller, the coordinator, and the shard
+  # dispatcher threads that coalesce batches and run failover callbacks —
+  # exactly the handoffs TSan can falsify), then two traced
   # smoke runs of the scale bench gated on throughput. Each bench run
   # asserts the /trace/slow contract: a retained slow trace with a failover
   # segment whose decomposition sums to its end-to-end latency.
@@ -276,11 +283,14 @@ if wants tsan; then
   # pool, and the parallel GEMM/conv/elementwise kernels) plus the
   # observability layer (concurrent metric updates and trace spans), and
   # the thread-local grad mode (autograd_test trains on one thread while
-  # another holds a NoGradGuard). Only the threading-related targets are
-  # built and run: TSan slows everything ~10x and the rest of the suite is
-  # single-threaded.
+  # another holds a NoGradGuard), and the serving plane, whose shard
+  # dispatchers run completion callbacks that fail requests over to other
+  # shards (serving_client_test, shard_test). Only the threading-related
+  # targets are built and run: TSan slows everything ~10x and the rest of
+  # the suite is single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
-                obs_test obs_export_test autograd_test)
+                obs_test obs_export_test autograd_test serving_client_test
+                shard_test)
   echo "==> configuring build-tsan (-DALT_SANITIZE=thread -DALT_DCHECKS=ON)"
   cmake -B build-tsan -S . -DALT_SANITIZE=thread -DALT_DCHECKS=ON >/dev/null
   echo "==> building build-tsan (${TSAN_TARGETS[*]})"
