@@ -31,7 +31,8 @@ BaseModel::BaseModel(ModelConfig config,
                                     config_.dropout);
 }
 
-ag::Variable BaseModel::Forward(const data::Batch& batch, Rng* dropout_rng) {
+ag::Variable BaseModel::Forward(const data::Batch& batch,
+                               Rng* dropout_rng) const {
   ALT_CHECK_EQ(batch.profiles.size(1), config_.profile_dim);
   ag::Variable profile_in = ag::Variable::Constant(batch.profiles);
   ag::Variable profile_emb =
@@ -49,12 +50,9 @@ ag::Variable BaseModel::Forward(const data::Batch& batch, Rng* dropout_rng) {
   return head_->Forward(features, dropout_rng);  // [B, 1]
 }
 
-std::vector<float> BaseModel::PredictProbs(const data::Batch& batch) {
-  const bool was_training = training();
-  SetTraining(false);
+std::vector<float> BaseModel::PredictProbs(const data::Batch& batch) const {
   ag::NoGradGuard no_grad;
-  Tensor logits = Forward(batch).value();
-  SetTraining(was_training);
+  const Tensor logits = Forward(batch).value();
   std::vector<float> probs(static_cast<size_t>(logits.numel()));
   for (int64_t i = 0; i < logits.numel(); ++i) {
     probs[static_cast<size_t>(i)] = StableSigmoid(logits[i]);

@@ -28,12 +28,16 @@ class BaseModel : public nn::Module {
 
   /// Forward pass to logits [B, 1]. `dropout_rng` enables dropout when the
   /// module is in training mode.
-  ag::Variable Forward(const data::Batch& batch, Rng* dropout_rng = nullptr);
+  ag::Variable Forward(const data::Batch& batch,
+                       Rng* dropout_rng = nullptr) const;
 
-  /// Eval-mode predicted probabilities for a batch, computed under
-  /// ag::NoGradGuard (no tape). Row r depends only on row r of `batch`,
-  /// bit for bit, whatever the batch's size or order.
-  std::vector<float> PredictProbs(const data::Batch& batch);
+  /// Predicted probabilities for a batch, computed under ag::NoGradGuard
+  /// (no tape). Reads the model only, so concurrent calls may share one
+  /// model; it runs in the model's current mode, which for trained and
+  /// deployed models is eval (the mode that selects a quantized model's
+  /// int8 kernels). Row r depends only on row r of `batch`, bit for bit,
+  /// whatever the batch's size or order.
+  std::vector<float> PredictProbs(const data::Batch& batch) const;
 
   /// Approximate inference FLOPs for one sample (the paper's efficiency
   /// metric, Table V).

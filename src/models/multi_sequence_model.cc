@@ -61,7 +61,7 @@ MultiSequenceModel::MultiSequenceModel(
 }
 
 ag::Variable MultiSequenceModel::Forward(const MultiSequenceBatch& batch,
-                                         Rng* dropout_rng) {
+                                         Rng* dropout_rng) const {
   ALT_CHECK_EQ(static_cast<int64_t>(batch.behaviors.size()), num_channels());
   ag::Variable profile_emb = profile_encoder_->Forward(
       ag::Variable::Constant(batch.profiles), dropout_rng);
@@ -75,12 +75,9 @@ ag::Variable MultiSequenceModel::Forward(const MultiSequenceBatch& batch,
 }
 
 std::vector<float> MultiSequenceModel::PredictProbs(
-    const MultiSequenceBatch& batch) {
-  const bool was_training = training();
-  SetTraining(false);
+    const MultiSequenceBatch& batch) const {
   ag::NoGradGuard no_grad;
-  Tensor logits = Forward(batch).value();
-  SetTraining(was_training);
+  const Tensor logits = Forward(batch).value();
   std::vector<float> probs(static_cast<size_t>(logits.numel()));
   for (int64_t i = 0; i < logits.numel(); ++i) {
     probs[static_cast<size_t>(i)] = StableSigmoid(logits[i]);

@@ -51,10 +51,11 @@ class MultiSequenceModel : public nn::Module {
                      Rng* rng);
 
   ag::Variable Forward(const MultiSequenceBatch& batch,
-                       Rng* dropout_rng = nullptr);
+                       Rng* dropout_rng = nullptr) const;
 
-  /// Eval-mode probabilities, computed under ag::NoGradGuard (no tape).
-  std::vector<float> PredictProbs(const MultiSequenceBatch& batch);
+  /// Probabilities in the model's current mode, computed under
+  /// ag::NoGradGuard (no tape); read-only, like BaseModel::PredictProbs.
+  std::vector<float> PredictProbs(const MultiSequenceBatch& batch) const;
 
   int64_t FlopsPerSample() const;
   int64_t num_channels() const {

@@ -40,8 +40,10 @@ bool ReadI64(std::istream* in, int64_t* v) {
 
 }  // namespace
 
-Status SaveWeights(Module* module, std::ostream* out) {
-  auto params = module->NamedParameters();
+Status SaveWeights(const Module* module, std::ostream* out) {
+  // NamedParameters is also the optimizers' write accessor, hence non-const;
+  // this only reads the values it lists.
+  auto params = const_cast<Module*>(module)->NamedParameters();
   out->write(kMagic, sizeof(kMagic));
   WriteU32(out, kVersion);
   WriteU64(out, params.size());

@@ -17,7 +17,7 @@ namespace nn {
 /// refactors that keep the module structure.
 
 /// Writes every named parameter of `module` to `out`.
-Status SaveWeights(Module* module, std::ostream* out);
+Status SaveWeights(const Module* module, std::ostream* out);
 Status SaveWeightsToFile(Module* module, const std::string& path);
 
 /// Loads weights into `module`. Fails if a parameter is missing from the

@@ -6,7 +6,6 @@
 #include "src/obs/memory_tracker.h"
 #include "src/obs/trace.h"
 #include "src/resilience/fault_injection.h"
-#include "src/serving/model_store.h"
 
 namespace alt {
 namespace serving {
@@ -19,115 +18,144 @@ std::string ModelServer::LatencyMetricName(const std::string& scenario) {
   return "serving/model_server/latency_ms/" + scenario;
 }
 
-Status ModelServer::Deploy(const std::string& scenario,
-                           std::unique_ptr<models::BaseModel> model,
-                           const DeployOptions& options) {
-  if (!options.retry_transient) return DeployAttempt(scenario, &model, options);
-  resilience::RetryPolicy policy(options.retry);
-  return policy.Run("serving deploy " + scenario, [this, &scenario, &model,
-                                                   &options]() {
-    // DeployAttempt consumes the model only on success, so every retry
-    // attempt still has it.
-    return DeployAttempt(scenario, &model, options);
-  });
-}
-
-Status ModelServer::DeployAttempt(const std::string& scenario,
-                                  std::unique_ptr<models::BaseModel>* model,
-                                  const DeployOptions& options) {
-  if (model == nullptr || *model == nullptr) {
-    return Status::InvalidArgument("null model");
-  }
-  ALT_FAULT_RETURN_IF("serving/deploy");
-  (*model)->SetTraining(false);
+Result<ModelServer::Snapshot> ModelServer::Prepare(
+    const std::string& scenario, std::unique_ptr<models::BaseModel> model,
+    const DeployOptions& options, obs::MetricsRegistry* registry) {
+  if (model == nullptr) return Status::InvalidArgument("null model");
+  if (registry == nullptr) registry = &obs::MetricsRegistry::Global();
+  model->SetTraining(false);
   if (options.quantize_int8) {
     // Score the calibration batch with the fp32 weights first: those probs
     // are the distillation soft labels the quantized model is checked
     // against.
     std::vector<float> soft_labels;
     if (options.calibration != nullptr) {
-      soft_labels = (*model)->PredictProbs(*options.calibration);
+      soft_labels = model->PredictProbs(*options.calibration);
     }
-    (*model)->QuantizeForServing();
-    registry_->counter("serving/quantized_deploys")->Add();
+    model->QuantizeForServing();
+    registry->counter("serving/quantized_deploys")->Add();
     if (options.calibration != nullptr) {
       const std::vector<float> int8_probs =
-          (*model)->PredictProbs(*options.calibration);
+          model->PredictProbs(*options.calibration);
       double max_delta = 0.0;
       for (size_t i = 0; i < soft_labels.size(); ++i) {
         max_delta = std::max(
             max_delta, std::fabs(static_cast<double>(int8_probs[i]) -
                                  static_cast<double>(soft_labels[i])));
       }
-      registry_
-          ->gauge("serving/quantization/max_prob_delta/" + scenario)
+      registry->gauge("serving/quantization/max_prob_delta/" + scenario)
           ->Set(max_delta);
     }
   }
-  std::shared_ptr<Deployment> deployment;
-  {
-    MutexLock lock(registry_mu_);
-    auto it = deployments_.find(scenario);
-    if (it == deployments_.end()) {
-      deployment = std::make_shared<Deployment>();
-      deployment->latency_ms =
-          registry_->histogram(LatencyMetricName(scenario));
-      deployments_[scenario] = deployment;
-    } else {
-      deployment = it->second;
-    }
+  return Snapshot(std::move(model));
+}
+
+Status ModelServer::Deploy(const std::string& scenario,
+                           std::unique_ptr<models::BaseModel> model,
+                           const DeployOptions& options) {
+  ALT_ASSIGN_OR_RETURN(Snapshot snapshot,
+                       Prepare(scenario, std::move(model), options, registry_));
+  return Publish(scenario, std::move(snapshot), Version(scenario) + 1,
+                 options);
+}
+
+Status ModelServer::Publish(const std::string& scenario, Snapshot model,
+                            uint64_t version, const DeployOptions& options) {
+  if (model == nullptr) return Status::InvalidArgument("null model");
+  if (model->training()) {
+    // PredictProbs runs in the model's own mode, and a training-mode model
+    // is not safe to share (a supernet samples its Gumbel noise from
+    // member state).
+    return Status::InvalidArgument("snapshot of " + scenario +
+                                   " is in training mode; Prepare it first");
   }
-  MutexLock model_lock(deployment->mu);
-  deployment->model = std::move(*model);
+  if (!options.retry_transient) {
+    return PublishAttempt(scenario, model, version);
+  }
+  resilience::RetryPolicy policy(options.retry);
+  return policy.Run("serving deploy " + scenario, [&]() {
+    return PublishAttempt(scenario, model, version);
+  });
+}
+
+Status ModelServer::PublishAttempt(const std::string& scenario,
+                                   const Snapshot& model, uint64_t version) {
+  ALT_FAULT_RETURN_IF("serving/deploy");
+  MutexLock lock(registry_mu_);
+  auto it = deployments_.find(scenario);
+  if (it == deployments_.end()) {
+    Deployment deployment;
+    deployment.latency_ms = registry_->histogram(LatencyMetricName(scenario));
+    it = deployments_.emplace(scenario, std::move(deployment)).first;
+  } else if (version < it->second.version) {
+    return Status::FailedPrecondition(
+        "stale deploy of " + scenario + " v" + std::to_string(version) +
+        " (have v" + std::to_string(it->second.version) + ")");
+  }
+  it->second.version = version;
+  it->second.model = model;
   return Status::OK();
+}
+
+uint64_t ModelServer::Version(const std::string& scenario) const {
+  return Find(scenario).version;
+}
+
+ModelServer::Snapshot ModelServer::Model(const std::string& scenario) const {
+  return Find(scenario).model;
 }
 
 void ModelServer::ConfigureResilience(ServingResilienceOptions options,
                                       resilience::Clock* clock) {
-  MutexLock lock(breakers_mu_);
-  resilience_ = std::move(options);
-  clock_ = clock != nullptr ? clock : resilience::RealClock();
-  fallbacks_total_ = registry_->counter("serving/fallbacks");
-  unknown_fallbacks_total_ =
+  auto policy = std::make_shared<Policy>();
+  policy->options = std::move(options);
+  policy->clock = clock != nullptr ? clock : resilience::RealClock();
+  policy->fallbacks = registry_->counter("serving/fallbacks");
+  policy->unknown_fallbacks =
       registry_->counter("serving/unknown_scenario_fallbacks");
-  deadline_exceeded_total_ =
+  policy->deadline_exceeded =
       registry_->counter("serving/predict_deadline_exceeded");
-  breakers_.clear();
-  resilience_enabled_ = true;
+  MutexLock lock(registry_mu_);
+  policy_ = std::move(policy);
 }
 
 Result<resilience::BreakerState> ModelServer::GetBreakerState(
     const std::string& scenario) const {
-  MutexLock lock(breakers_mu_);
-  auto it = breakers_.find(scenario);
-  if (it == breakers_.end()) {
+  std::map<std::string, resilience::BreakerState> states = BreakerStates();
+  auto it = states.find(scenario);
+  if (it == states.end()) {
     return Status::NotFound("no breaker for scenario " + scenario);
   }
-  return it->second->state();
+  return it->second;
 }
 
 std::map<std::string, resilience::BreakerState> ModelServer::BreakerStates()
     const {
-  MutexLock lock(breakers_mu_);
+  std::shared_ptr<Policy> policy;
+  {
+    MutexLock lock(registry_mu_);
+    policy = policy_;
+  }
   std::map<std::string, resilience::BreakerState> states;
-  for (const auto& [scenario, breaker] : breakers_) {
+  if (policy == nullptr) return states;
+  MutexLock lock(policy->mu);
+  for (const auto& [scenario, breaker] : policy->breakers) {
     states.emplace(scenario, breaker->state());
   }
   return states;
 }
 
 resilience::CircuitBreaker* ModelServer::BreakerFor(
-    const std::string& scenario) {
-  MutexLock lock(breakers_mu_);
-  auto it = breakers_.find(scenario);
-  if (it == breakers_.end()) {
-    it = breakers_
-             .emplace(scenario, std::make_unique<resilience::CircuitBreaker>(
-                                    "serving/" + scenario, resilience_.breaker,
-                                    clock_, registry_))
-             .first;
+    Policy* policy, const std::string& scenario) {
+  MutexLock lock(policy->mu);
+  std::unique_ptr<resilience::CircuitBreaker>& breaker =
+      policy->breakers[scenario];
+  if (breaker == nullptr) {
+    breaker = std::make_unique<resilience::CircuitBreaker>(
+        "serving/" + scenario, policy->options.breaker, policy->clock,
+        registry_);
   }
-  return it->second.get();
+  return breaker.get();
 }
 
 Status ModelServer::Undeploy(const std::string& scenario) {
@@ -150,19 +178,30 @@ std::vector<std::string> ModelServer::Scenarios() const {
   return out;
 }
 
-std::shared_ptr<ModelServer::Deployment> ModelServer::FindDeployment(
-    const std::string& scenario) const {
+ModelServer::Deployment ModelServer::Find(const std::string& scenario) const {
   MutexLock lock(registry_mu_);
   auto it = deployments_.find(scenario);
-  return it == deployments_.end() ? nullptr : it->second;
+  return it == deployments_.end() ? Deployment() : it->second;
 }
 
-Status ModelServer::ValidateRequest(Deployment* deployment,
-                                   const data::Batch& batch) {
-  MutexLock model_lock(deployment->mu);
-  // A deployment without a model is PredictOn's NotFound to report.
-  if (deployment->model == nullptr) return Status::OK();
-  const models::ModelConfig& config = deployment->model->config();
+ModelServer::Deployment ModelServer::Resolve(
+    const std::string& scenario, std::string* target,
+    std::shared_ptr<Policy>* policy) const {
+  *target = scenario;
+  MutexLock lock(registry_mu_);
+  *policy = policy_;
+  auto it = deployments_.find(scenario);
+  if (it == deployments_.end() && policy_ != nullptr &&
+      !policy_->options.default_scenario.empty()) {
+    it = deployments_.find(policy_->options.default_scenario);
+    if (it != deployments_.end()) *target = it->first;
+  }
+  return it == deployments_.end() ? Deployment() : it->second;
+}
+
+Status ModelServer::ValidateRequest(const models::BaseModel& model,
+                                    const data::Batch& batch) {
+  const models::ModelConfig& config = model.config();
   if (batch.batch_size < 1 || batch.profiles.ndim() != 2 ||
       batch.profiles.size(0) != batch.batch_size ||
       batch.profiles.size(1) != config.profile_dim) {
@@ -193,28 +232,22 @@ Status ModelServer::ValidateRequest(Deployment* deployment,
 }
 
 Result<std::vector<float>> ModelServer::PredictOn(
-    const std::shared_ptr<Deployment>& deployment, const data::Batch& batch) {
-  // Per-deployment lock: the model's forward pass mutates training-mode
-  // state, so concurrent requests to one scenario serialize here.
-  MutexLock model_lock(deployment->mu);
-  if (deployment->model == nullptr) {
-    return Status::NotFound("deployment has no model");
-  }
+    const Deployment& deployment, const data::Batch& batch) {
   ALT_FAULT_RETURN_IF("serving/predict");
   ALT_TRACE_SPAN(span, "serving/model_server/predict");
   obs::ScopedMemoryTag memory_tag("serving");
-  obs::ScopedTimerMs timer(deployment->latency_ms);
-  return deployment->model->PredictProbs(batch);
+  obs::ScopedTimerMs timer(deployment.latency_ms);
+  return deployment.model->PredictProbs(batch);
 }
 
 Result<std::vector<float>> ModelServer::FallbackPredict(
-    const std::string& scenario, const data::Batch& batch) {
-  fallbacks_total_->Add(1);
-  if (!resilience_.fallback_scenario.empty() &&
-      resilience_.fallback_scenario != scenario) {
-    std::shared_ptr<Deployment> fallback =
-        FindDeployment(resilience_.fallback_scenario);
-    if (fallback != nullptr) {
+    const Policy& policy, const std::string& scenario,
+    const data::Batch& batch) {
+  policy.fallbacks->Add(1);
+  const std::string& fallback_scenario = policy.options.fallback_scenario;
+  if (!fallback_scenario.empty() && fallback_scenario != scenario) {
+    const Deployment fallback = Find(fallback_scenario);
+    if (fallback.model != nullptr) {
       Result<std::vector<float>> result = PredictOn(fallback, batch);
       if (result.ok()) return result;
       // The heavy model failed too (possibly an injected fault); degrade
@@ -222,52 +255,41 @@ Result<std::vector<float>> ModelServer::FallbackPredict(
     }
   }
   return std::vector<float>(static_cast<size_t>(batch.batch_size),
-                            resilience_.fallback_prior);
-}
-
-std::shared_ptr<ModelServer::Deployment> ModelServer::ResolveDeployment(
-    const std::string& scenario, std::string* target) const {
-  *target = scenario;
-  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
-  if (deployment == nullptr && resilience_enabled_ &&
-      !resilience_.default_scenario.empty() &&
-      scenario != resilience_.default_scenario) {
-    deployment = FindDeployment(resilience_.default_scenario);
-    if (deployment != nullptr) *target = resilience_.default_scenario;
-  }
-  return deployment;
+                            policy.options.fallback_prior);
 }
 
 Status ModelServer::CheckRequest(const std::string& scenario,
                                  const data::Batch& batch) const {
   std::string target;
-  std::shared_ptr<Deployment> deployment = ResolveDeployment(scenario, &target);
-  if (deployment == nullptr) {
+  std::shared_ptr<Policy> policy;
+  const Deployment deployment = Resolve(scenario, &target, &policy);
+  if (deployment.model == nullptr) {
     return Status::NotFound("scenario " + scenario + " not deployed");
   }
-  return ValidateRequest(deployment.get(), batch);
+  return ValidateRequest(*deployment.model, batch);
 }
 
 Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
                                                 const data::Batch& batch) {
   std::string target;
-  std::shared_ptr<Deployment> deployment = ResolveDeployment(scenario, &target);
-  if (deployment == nullptr) {
+  std::shared_ptr<Policy> policy;
+  const Deployment deployment = Resolve(scenario, &target, &policy);
+  if (deployment.model == nullptr) {
     return Status::NotFound("scenario " + scenario + " not deployed");
   }
-  if (target != scenario) unknown_fallbacks_total_->Add(1);
-  ALT_RETURN_IF_ERROR(ValidateRequest(deployment.get(), batch));
-  if (!resilience_enabled_) return PredictOn(deployment, batch);
+  if (target != scenario) policy->unknown_fallbacks->Add(1);
+  ALT_RETURN_IF_ERROR(ValidateRequest(*deployment.model, batch));
+  if (policy == nullptr) return PredictOn(deployment, batch);
 
-  resilience::CircuitBreaker* breaker = BreakerFor(target);
-  if (!breaker->AllowRequest()) return FallbackPredict(target, batch);
-  const double start_ms = clock_->NowMs();
+  resilience::CircuitBreaker* breaker = BreakerFor(policy.get(), target);
+  if (!breaker->AllowRequest()) return FallbackPredict(*policy, target, batch);
+  const double start_ms = policy->clock->NowMs();
   Result<std::vector<float>> result = PredictOn(deployment, batch);
-  const double elapsed_ms = clock_->NowMs() - start_ms;
+  const double elapsed_ms = policy->clock->NowMs() - start_ms;
   bool healthy = result.ok();
-  if (healthy && resilience_.predict_deadline_ms > 0.0 &&
-      elapsed_ms > resilience_.predict_deadline_ms) {
-    deadline_exceeded_total_->Add(1);
+  if (healthy && policy->options.predict_deadline_ms > 0.0 &&
+      elapsed_ms > policy->options.predict_deadline_ms) {
+    policy->deadline_exceeded->Add(1);
     healthy = false;
   }
   if (healthy) {
@@ -275,14 +297,12 @@ Result<std::vector<float>> ModelServer::Predict(const std::string& scenario,
     return result;
   }
   breaker->RecordFailure();
-  return FallbackPredict(target, batch);
+  return FallbackPredict(*policy, target, batch);
 }
 
 Result<LatencyStats> ModelServer::GetLatencyStats(
     const std::string& scenario) const {
-  if (FindDeployment(scenario) == nullptr) {
-    return Status::NotFound("scenario " + scenario);
-  }
+  if (!IsDeployed(scenario)) return Status::NotFound("scenario " + scenario);
   return RegistryLatencyStats(*registry_, scenario);
 }
 
@@ -298,28 +318,6 @@ LatencyStats ModelServer::RegistryLatencyStats(
   stats.p99_ms = summary.p99;
   stats.max_ms = summary.max;
   return stats;
-}
-
-Result<int64_t> ModelServer::FlopsPerSample(
-    const std::string& scenario) const {
-  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
-  if (deployment == nullptr) return Status::NotFound("scenario " + scenario);
-  MutexLock model_lock(deployment->mu);
-  if (deployment->model == nullptr) {
-    return Status::NotFound("scenario " + scenario + " has no model");
-  }
-  return deployment->model->FlopsPerSample();
-}
-
-Status ModelServer::ExportBundle(const std::string& scenario,
-                                 const std::string& path) const {
-  std::shared_ptr<Deployment> deployment = FindDeployment(scenario);
-  if (deployment == nullptr) return Status::NotFound("scenario " + scenario);
-  MutexLock model_lock(deployment->mu);
-  if (deployment->model == nullptr) {
-    return Status::NotFound("scenario " + scenario + " has no model");
-  }
-  return SaveModelBundleToFile(deployment->model.get(), path);
 }
 
 }  // namespace serving

@@ -62,7 +62,8 @@ struct DeployOptions {
   /// Post-training int8 quantization of the model's Linear layers at
   /// deploy time (symmetric scheme, src/tensor/quant.h). The serving
   /// Predict path then runs the int8 GEMM; the fp32 weights stay intact
-  /// inside the model. Counted in `serving/quantized_deploys`.
+  /// inside the model. Counted in `serving/quantized_deploys`, once per
+  /// deploy call (however many replicas share the snapshot).
   bool quantize_int8 = false;
   /// Optional calibration batch, scored with the fp32 model right before
   /// quantization — its fp32 probabilities are the distillation soft
@@ -77,9 +78,8 @@ struct DeployOptions {
   /// traffic fans out over more workers. A plain ModelServer ignores it.
   bool hot = false;
   /// Retry transient deploy failures (e.g. injected serving/deploy faults)
-  /// under `retry` before giving up. The model survives failed attempts and
-  /// is consumed only on success or once the schedule is exhausted — this
-  /// subsumes external retry wrappers around single deploy attempts.
+  /// under `retry` before giving up: each replica's publish attempt is
+  /// retried, while the snapshot is prepared once.
   bool retry_transient = false;
   resilience::RetryOptions retry;
   /// Per-scenario SLO: latency target + availability objective. A plain
@@ -88,9 +88,13 @@ struct DeployOptions {
   obs::SloObjective slo;
 };
 
-/// The Model Serving module (Sec. IV-E): per-scenario model registry with
-/// thread-safe prediction and per-scenario latency accounting. Deploys are
-/// atomic swaps, so scenarios can be re-deployed while serving.
+/// The Model Serving module (Sec. IV-E), and the engine of one worker
+/// shard: a map from scenario to {version, snapshot, latency histogram}.
+/// A snapshot is an immutable eval-mode model that every replica of the
+/// scenario shares. Predict copies the scenario's entry under a brief lock
+/// and runs the forward pass with no lock held, so requests to one scenario
+/// run in parallel, and a redeploy swaps the pointer without waiting for
+/// them: an in-flight request finishes on the snapshot it started with.
 ///
 /// Observability: every Predict records into `registry()` (default: the
 /// process-global obs::MetricsRegistry) under
@@ -98,23 +102,50 @@ struct DeployOptions {
 /// is recorded and GetLatencyStats reports zeros.
 class ModelServer {
  public:
+  /// A serving model: eval mode, int8-quantized when deployed so, and never
+  /// modified again.
+  using Snapshot = std::shared_ptr<const models::BaseModel>;
+
   /// `registry == nullptr` selects obs::MetricsRegistry::Global(). Tests
   /// pass a private registry for isolation; the registry must outlive the
   /// server.
   explicit ModelServer(obs::MetricsRegistry* registry = nullptr);
 
-  /// Installs (or replaces) the serving model of `scenario`. The one deploy
-  /// entry point: retry behavior is selected via
-  /// DeployOptions::retry_transient / DeployOptions::retry.
+  /// Turns `model` into a snapshot, once per deploy call however many
+  /// replicas publish it: eval mode, then with DeployOptions::quantize_int8
+  /// the int8 quantization (counted in `registry`'s
+  /// serving/quantized_deploys) and its calibration gauge.
+  static Result<Snapshot> Prepare(const std::string& scenario,
+                                  std::unique_ptr<models::BaseModel> model,
+                                  const DeployOptions& options,
+                                  obs::MetricsRegistry* registry);
+
+  /// Prepares `model` and publishes it at the scenario's next version.
   Status Deploy(const std::string& scenario,
                 std::unique_ptr<models::BaseModel> model,
                 const DeployOptions& options = {});
 
-  /// Enables graceful degradation for Predict. `clock == nullptr` selects
-  /// resilience::RealClock(); tests inject a FakeClock to drive deadlines
-  /// and breaker cooldowns. Internal wiring: ServingClient::Options /
-  /// ServingClient::EnableResilience is the public way to configure
-  /// resilience; the sharded plane calls this on every shard engine.
+  /// Installs `model` (a Prepare result) as the scenario's snapshot at
+  /// `version`. The version gate refuses a version below the current one
+  /// with FailedPrecondition, so a stale broadcast never overwrites a newer
+  /// model; an equal version re-publishes. Each attempt hosts the
+  /// serving/deploy fault point and is retried under
+  /// DeployOptions::retry_transient / retry.
+  Status Publish(const std::string& scenario, Snapshot model,
+                 uint64_t version, const DeployOptions& options = {});
+
+  /// The scenario's published version; 0 when not deployed.
+  uint64_t Version(const std::string& scenario) const;
+  /// The scenario's snapshot; nullptr when not deployed.
+  Snapshot Model(const std::string& scenario) const;
+
+  /// Enables graceful degradation for Predict, or replaces the policy in
+  /// force (with fresh breakers); safe while traffic flows. `clock ==
+  /// nullptr` selects resilience::RealClock(); tests inject a FakeClock to
+  /// drive deadlines and breaker cooldowns. Internal wiring:
+  /// ServingClient::Options / ServingClient::EnableResilience is the public
+  /// way to configure resilience; the sharded plane calls this on every
+  /// shard engine.
   void ConfigureResilience(ServingResilienceOptions options,
                            resilience::Clock* clock = nullptr);
 
@@ -131,8 +162,8 @@ class ModelServer {
   bool IsDeployed(const std::string& scenario) const;
   std::vector<std::string> Scenarios() const;
 
-  /// Scores a request batch with `scenario`'s model. Thread-safe; requests
-  /// to the same scenario are serialized on that scenario's lock.
+  /// Scores a request batch with `scenario`'s snapshot. Thread-safe and
+  /// lock-free during the forward pass.
   Result<std::vector<float>> Predict(const std::string& scenario,
                                      const data::Batch& batch);
 
@@ -145,13 +176,6 @@ class ModelServer {
   /// sample), computed from the metrics registry histogram.
   Result<LatencyStats> GetLatencyStats(const std::string& scenario) const;
 
-  /// Inference FLOPs per sample of the deployed model.
-  Result<int64_t> FlopsPerSample(const std::string& scenario) const;
-
-  /// Writes the deployed model as a self-contained serving bundle.
-  Status ExportBundle(const std::string& scenario,
-                      const std::string& path) const;
-
   obs::MetricsRegistry* registry() const { return registry_; }
 
   /// Registry name of the per-scenario request latency histogram.
@@ -162,64 +186,63 @@ class ModelServer {
 
  private:
   struct Deployment {
-    Mutex mu;
-    /// The serving model; swapped atomically by Deploy, serialized per
-    /// scenario by PredictOn.
-    std::unique_ptr<models::BaseModel> model ALT_GUARDED_BY(mu);
+    uint64_t version = 0;
+    Snapshot model;
     obs::Histogram* latency_ms = nullptr;  // Owned by the registry.
   };
 
-  std::shared_ptr<Deployment> FindDeployment(const std::string& scenario) const;
-  /// The deployment Predict serves `scenario` from (its own, else the
-  /// resilience default's), named in `*target`; nullptr when none.
-  std::shared_ptr<Deployment> ResolveDeployment(const std::string& scenario,
-                                                std::string* target) const;
-  /// One deploy attempt; consumes `*model` only on success (the retry-loop
-  /// contract, now an implementation detail of Deploy's retry loop).
-  Status DeployAttempt(const std::string& scenario,
-                       std::unique_ptr<models::BaseModel>* model,
-                       const DeployOptions& options);
-  /// InvalidArgument unless `batch` fits the deployed model's input contract
-  /// (profile width, sequence length, behavior ids within the vocabulary),
-  /// so a malformed request is refused before it reaches the forward pass's
+  /// The resilience policy in force. ConfigureResilience replaces it whole,
+  /// and a Predict keeps the one it read, so reconfiguring races no
+  /// request. Each policy owns its per-scenario breakers.
+  struct Policy {
+    ServingResilienceOptions options;
+    resilience::Clock* clock = nullptr;
+    obs::Counter* fallbacks = nullptr;          // Owned by the registry.
+    obs::Counter* unknown_fallbacks = nullptr;  // Owned by the registry.
+    obs::Counter* deadline_exceeded = nullptr;  // Owned by the registry.
+    Mutex mu;
+    std::map<std::string, std::unique_ptr<resilience::CircuitBreaker>>
+        breakers ALT_GUARDED_BY(mu);
+  };
+
+  /// The scenario's deployment; a null model when not deployed.
+  Deployment Find(const std::string& scenario) const ALT_EXCLUDES(registry_mu_);
+  /// Reads the policy in force and the deployment Predict serves `scenario`
+  /// from, under one lock: its own, else the policy's default scenario's,
+  /// named in `*target`. A null model when neither is deployed.
+  Deployment Resolve(const std::string& scenario, std::string* target,
+                     std::shared_ptr<Policy>* policy) const
+      ALT_EXCLUDES(registry_mu_);
+  /// One publish attempt: the fault point, then the gated swap.
+  Status PublishAttempt(const std::string& scenario, const Snapshot& model,
+                        uint64_t version) ALT_EXCLUDES(registry_mu_);
+  /// InvalidArgument unless `batch` fits `model`'s input contract (profile
+  /// width, sequence length, behavior ids within the vocabulary), so a
+  /// malformed request is refused before it reaches the forward pass's
   /// internal checks, the breaker, or the fallback.
-  static Status ValidateRequest(Deployment* deployment,
+  static Status ValidateRequest(const models::BaseModel& model,
                                 const data::Batch& batch);
   /// The primary (non-degraded) Predict path; hosts the serving/predict
   /// fault point.
-  Result<std::vector<float>> PredictOn(
-      const std::shared_ptr<Deployment>& deployment, const data::Batch& batch);
+  static Result<std::vector<float>> PredictOn(const Deployment& deployment,
+                                              const data::Batch& batch);
   /// Degraded answer for `scenario`: the fallback deployment's prediction
   /// when available, else a constant-prior vector. Always counts
   /// serving/fallbacks.
-  Result<std::vector<float>> FallbackPredict(const std::string& scenario,
+  Result<std::vector<float>> FallbackPredict(const Policy& policy,
+                                             const std::string& scenario,
                                              const data::Batch& batch);
-  /// Lazily creates the scenario's breaker (callers must not hold
-  /// registry_mu_: breaker construction registers metrics, and the two
-  /// locks must never nest).
-  resilience::CircuitBreaker* BreakerFor(const std::string& scenario)
-      ALT_EXCLUDES(registry_mu_, breakers_mu_);
+  /// The policy's breaker for `scenario`, created on first use (breaker
+  /// construction registers metrics, so never under registry_mu_).
+  resilience::CircuitBreaker* BreakerFor(Policy* policy,
+                                         const std::string& scenario)
+      ALT_EXCLUDES(registry_mu_);
 
-  /// Deployments are shared_ptrs so an in-flight Predict keeps its
-  /// deployment alive across a concurrent Undeploy.
   obs::MetricsRegistry* registry_;
   mutable Mutex registry_mu_;
-  std::map<std::string, std::shared_ptr<Deployment>> deployments_
-      ALT_GUARDED_BY(registry_mu_);
-
-  // Resilience configuration (resilience_enabled_, resilience_, clock_ and
-  // the counter handles below) is written once by ConfigureResilience before the
-  // server takes resilient traffic, then read without locking on the
-  // Predict path; it is deliberately not lock-guarded.
-  bool resilience_enabled_ = false;
-  ServingResilienceOptions resilience_;
-  resilience::Clock* clock_ = nullptr;
-  mutable Mutex breakers_mu_;
-  std::map<std::string, std::unique_ptr<resilience::CircuitBreaker>> breakers_
-      ALT_GUARDED_BY(breakers_mu_);
-  obs::Counter* fallbacks_total_ = nullptr;         // Owned by the registry.
-  obs::Counter* unknown_fallbacks_total_ = nullptr; // Owned by the registry.
-  obs::Counter* deadline_exceeded_total_ = nullptr; // Owned by the registry.
+  std::map<std::string, Deployment> deployments_ ALT_GUARDED_BY(registry_mu_);
+  /// Null while resilience is off.
+  std::shared_ptr<Policy> policy_ ALT_GUARDED_BY(registry_mu_);
 };
 
 }  // namespace serving

@@ -17,7 +17,7 @@ constexpr char kMagic[4] = {'A', 'L', 'T', 'M'};
 constexpr uint32_t kVersion = 1;
 }  // namespace
 
-Status SaveModelBundle(models::BaseModel* model, std::ostream* out) {
+Status SaveModelBundle(const models::BaseModel* model, std::ostream* out) {
   const std::string config = model->config().ToJson().Dump();
   out->write(kMagic, sizeof(kMagic));
   const uint32_t version = kVersion;
@@ -29,7 +29,7 @@ Status SaveModelBundle(models::BaseModel* model, std::ostream* out) {
   return nn::SaveWeights(model, out);
 }
 
-Status SaveModelBundleToFile(models::BaseModel* model,
+Status SaveModelBundleToFile(const models::BaseModel* model,
                              const std::string& path) {
   ALT_FAULT_RETURN_IF("serving/model_store/save");
   // Temp-file + rename so a crash or short write mid-save never leaves a

@@ -16,8 +16,8 @@ namespace serving {
 /// the binary weights. Format:
 ///   magic "ALTM" | u32 version | u64 json_len | config json | ALTW weights.
 
-Status SaveModelBundle(models::BaseModel* model, std::ostream* out);
-Status SaveModelBundleToFile(models::BaseModel* model,
+Status SaveModelBundle(const models::BaseModel* model, std::ostream* out);
+Status SaveModelBundleToFile(const models::BaseModel* model,
                              const std::string& path);
 
 /// Rebuilds the model from a bundle (any encoder kind, including kNas).

@@ -165,10 +165,11 @@ std::map<std::string, resilience::BreakerState> ServingClient::BreakerStates()
 
 ServingClient::Stats ServingClient::GetStats() const {
   Stats stats;
-  stats.num_shards = options_.num_shards;
+  const std::vector<std::string> ids = coordinator_.ShardIds();
+  stats.num_shards = static_cast<int>(ids.size());
   stats.live_shards = coordinator_.NumLiveShards();
   stats.routing_imbalance = coordinator_.RoutingImbalance();
-  for (const std::string& id : coordinator_.ShardIds()) {
+  for (const std::string& id : ids) {
     const shard::WorkerShard* worker = coordinator_.shard(id);
     if (worker != nullptr) stats.requests_served += worker->RequestsServed();
   }
@@ -196,6 +197,12 @@ void ServingClient::RecordOutcome(const std::string& scenario,
                                   double latency_ms, const Status& status) {
   if (registry_->enabled()) {
     LatencyHistogramFor(scenario)->Observe(latency_ms);
+  }
+  if (status.code() == StatusCode::kInvalidArgument) {
+    // A malformed request is the caller's fault, not the scenario's: it is
+    // counted apart and burns none of the scenario's SLO budget.
+    registry_->counter("serving/request/invalid/" + scenario)->Add(1);
+    return;
   }
   slo_->Record(scenario, latency_ms, status.ok());
 }

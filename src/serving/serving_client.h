@@ -95,6 +95,7 @@ class ServingClient {
   /// Aggregate serving-plane stats (per-scenario latency distributions come
   /// from GetLatencyStats).
   struct Stats {
+    /// Every shard, added ones included, dead or alive.
     int num_shards = 0;
     int live_shards = 0;
     /// max/mean scenario-ownership share across live shards (1.0 = even).
@@ -158,8 +159,8 @@ class ServingClient {
   void DrainBatchQueues() const;
 
   /// Enables graceful degradation on every shard engine and deploys
-  /// nothing — pair with DeployEverywhere for the fallback scenario.
-  /// `clock == nullptr` selects the real clock.
+  /// nothing — pair with DeployEverywhere for the fallback scenario. Safe
+  /// while traffic flows. `clock == nullptr` selects the real clock.
   void EnableResilience(const ServingResilienceOptions& options,
                         resilience::Clock* clock = nullptr);
 
@@ -179,8 +180,8 @@ class ServingClient {
   /// rebalances on the next requests against it.
   Status KillShard(const std::string& shard_id);
 
-  /// Warm re-join of a killed/evicted shard: models re-deploy from the
-  /// coordinator's cached bundles before its virtual nodes re-enter the
+  /// Warm re-join of a killed/evicted shard: the coordinator publishes its
+  /// current model snapshots to it before its virtual nodes re-enter the
   /// ring in staged batches. See ShardCoordinator::RejoinShard.
   Status RejoinShard(const std::string& shard_id);
 
@@ -225,7 +226,8 @@ class ServingClient {
   obs::Histogram* LatencyHistogramFor(const std::string& scenario)
       ALT_EXCLUDES(latency_mu_);
   /// Terminal accounting for every request (direct or batched): scenario
-  /// latency histogram + SLO outcome.
+  /// latency histogram + SLO outcome, or for a malformed (InvalidArgument)
+  /// request serving/request/invalid/<scenario> instead of the SLO.
   void RecordOutcome(const std::string& scenario, double latency_ms,
                      const Status& status);
 

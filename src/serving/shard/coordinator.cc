@@ -1,9 +1,7 @@
 #include "src/serving/shard/coordinator.h"
 
 #include <algorithm>
-#include <fstream>
 #include <future>
-#include <sstream>
 #include <utility>
 
 #include "src/serving/model_store.h"
@@ -119,20 +117,16 @@ Status ShardCoordinator::DeployEverywhere(
 }
 
 Status ShardCoordinator::Broadcast(const std::string& scenario,
-                                   std::unique_ptr<models::BaseModel> original,
+                                   std::unique_ptr<models::BaseModel> model,
                                    const DeployOptions& deploy_options,
                                    bool everywhere) {
-  if (original == nullptr) return Status::InvalidArgument("null model");
-  MutexLock control(control_mu_);
   ScenarioEntry entry;
-  entry.options = deploy_options;
-  entry.options.calibration = nullptr;  // Dangling after this call.
+  ALT_ASSIGN_OR_RETURN(entry.model,
+                       ModelServer::Prepare(scenario, std::move(model),
+                                            deploy_options, registry_));
+  entry.hot = deploy_options.hot;
   entry.everywhere = everywhere;
-  {
-    std::ostringstream out;
-    ALT_RETURN_IF_ERROR(SaveModelBundle(original.get(), &out));
-    entry.bundle = out.str();
-  }
+  MutexLock control(control_mu_);
   std::vector<std::string> targets;
   {
     MutexLock state(state_mu_);
@@ -140,35 +134,20 @@ Status ShardCoordinator::Broadcast(const std::string& scenario,
     entry.version = (it != table_.end() ? it->second.version : 0) + 1;
     targets = everywhere ? ring_.Shards()
                          : ring_.RouteReplicas(scenario,
-                                               ReplicationFor(deploy_options));
+                                               ReplicationFor(entry.hot));
   }
   if (targets.empty()) {
     return Status::Unavailable("no live shards to deploy " + scenario);
   }
   obs::ScopedTimerMs timer(broadcast_ms_);
   Status first_error;
-  std::vector<std::string> deployed;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    WorkerShard* target = FindShard(targets[i]);
+  for (const std::string& id : targets) {
+    WorkerShard* target = FindShard(id);
     if (target == nullptr) continue;
-    std::unique_ptr<models::BaseModel> model;
-    if (i == 0) {
-      model = std::move(original);
-    } else {
-      // Replica fan-out: clone from the bundle serialized once above —
-      // serialize-once, deserialize-per-replica is the broadcast protocol.
-      std::istringstream in(entry.bundle);
-      Result<std::unique_ptr<models::BaseModel>> loaded = LoadModelBundle(&in);
-      if (!loaded.ok()) {
-        if (first_error.ok()) first_error = loaded.status();
-        continue;
-      }
-      model = std::move(loaded).value();
-    }
-    Status status = target->Deploy(scenario, std::move(model),
-                                   deploy_options, entry.version);
+    Status status =
+        target->Deploy(scenario, entry.model, entry.version, deploy_options);
     if (status.ok()) {
-      deployed.push_back(targets[i]);
+      entry.replicas.push_back(id);
     } else if (first_error.ok()) {
       first_error = status;
     }
@@ -179,10 +158,9 @@ Status ShardCoordinator::Broadcast(const std::string& scenario,
     // the next successful Deploy (same version number again) supersedes.
     return first_error;
   }
-  if (deployed.empty()) {
+  if (entry.replicas.empty()) {
     return Status::Unavailable("no shard accepted deploy of " + scenario);
   }
-  entry.replicas = std::move(deployed);
   MutexLock state(state_mu_);
   table_[scenario] = std::move(entry);
   PublishImbalanceLocked();
@@ -211,7 +189,7 @@ Status ShardCoordinator::Undeploy(const std::string& scenario) {
     if (worker == nullptr) continue;
     // A replica that never finished its deploy reports NotFound; that is
     // the desired end state, not an error.
-    Status status = worker->Undeploy(scenario);
+    Status status = worker->engine()->Undeploy(scenario);
     if (!status.ok() && status.code() != StatusCode::kNotFound) {
       ALT_LOG(Warning) << "undeploy of " << scenario << " on " << id
                        << " failed: " << status.ToString();
@@ -245,7 +223,7 @@ void ShardCoordinator::RankReplicas(Trip* trip) {
     // Hot and everywhere-deployed scenarios (the resilience fallback /
     // default paths among them) are the last traffic a loaded shard should
     // drop: they bypass the soft shed watermark.
-    if (it->second.everywhere || it->second.options.hot) {
+    if (it->second.everywhere || it->second.hot) {
       trip->admission = Admission::kCritical;
     }
   } else if (resilience_enabled_ && !resilience_.default_scenario.empty()) {
@@ -462,7 +440,8 @@ void ShardCoordinator::HandleShardDeath(const std::string& shard_id) {
 void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
   struct Affected {
     std::string scenario;
-    ScenarioEntry snapshot;
+    uint64_t version = 0;
+    ModelServer::Snapshot model;
     std::vector<std::string> new_replicas;
     std::vector<std::string> add_targets;
   };
@@ -473,20 +452,16 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
     ring_.RemoveShard(shard_id);
     for (const auto& [scenario, entry] : table_) {
       if (!entry.everywhere && !Contains(entry.replicas, shard_id)) continue;
-      Affected item;
-      item.scenario = scenario;
-      item.snapshot.version = entry.version;
-      item.snapshot.options = entry.options;
+      Affected item{scenario, entry.version, entry.model, {}, {}};
       if (entry.everywhere) {
         // Every remaining shard already holds it; just shrink the group.
         item.new_replicas = ring_.Shards();
       } else {
         item.new_replicas =
-            ring_.RouteReplicas(scenario, ReplicationFor(entry.options));
+            ring_.RouteReplicas(scenario, ReplicationFor(entry.hot));
         for (const std::string& id : item.new_replicas) {
           if (!Contains(entry.replicas, id)) item.add_targets.push_back(id);
         }
-        if (!item.add_targets.empty()) item.snapshot.bundle = entry.bundle;
       }
       affected.push_back(std::move(item));
     }
@@ -498,20 +473,14 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
   // Unavailable and fail over.
   WorkerShard* victim = FindShard(shard_id);
   if (victim != nullptr) victim->Kill();
-  // Re-deploys run outside state_mu_ so routing stays readable; control_mu_
+  // Publishes run outside state_mu_ so routing stays readable; control_mu_
   // keeps the table stable meanwhile.
   for (Affected& item : affected) {
     for (const std::string& target : item.add_targets) {
       WorkerShard* worker = FindShard(target);
       if (worker == nullptr || worker->dead()) continue;
-      std::istringstream in(item.snapshot.bundle);
-      Result<std::unique_ptr<models::BaseModel>> loaded = LoadModelBundle(&in);
-      Status status = loaded.ok()
-                          ? worker->Deploy(item.scenario,
-                                           std::move(loaded).value(),
-                                           item.snapshot.options,
-                                           item.snapshot.version)
-                          : loaded.status();
+      const Status status =
+          worker->Deploy(item.scenario, item.model, item.version);
       if (!status.ok()) {
         ALT_LOG(Warning) << "rebalance re-deploy of " << item.scenario
                          << " onto " << target
@@ -593,23 +562,19 @@ Status ShardCoordinator::AdmitShardLocked(WorkerShard* worker) {
     HashRing future_ring = ring_;
     future_ring.AddShard(id);  // alt_lint: allow(L008): void HashRing::AddShard
     for (const auto& [scenario, entry] : table_) {
-      const int want = ReplicationFor(entry.options);
+      const int want = ReplicationFor(entry.hot);
       if (entry.everywhere ||
           Contains(future_ring.RouteReplicas(scenario, want), id)) {
         assigned.emplace_back(scenario, entry);
       }
     }
   }
-  // Warm pre-deploy from the cached bundles at current versions, BEFORE any
-  // ring mutation: a key never routes to this shard until the model it
-  // needs is already swapped in. Any failure aborts the admission with the
-  // ring unchanged (models already deployed are harmless — unrouted).
+  // Warm publish of the current snapshots, BEFORE any ring mutation: a key
+  // never routes to this shard until the model it needs is already swapped
+  // in. Any failure aborts the admission with the ring unchanged (models
+  // already published are harmless — unrouted).
   for (const auto& [scenario, entry] : assigned) {
-    std::istringstream in(entry.bundle);
-    Result<std::unique_ptr<models::BaseModel>> loaded = LoadModelBundle(&in);
-    if (!loaded.ok()) return loaded.status();
-    ALT_RETURN_IF_ERROR(worker->Deploy(scenario, std::move(loaded).value(),
-                                       entry.options, entry.version));
+    ALT_RETURN_IF_ERROR(worker->Deploy(scenario, entry.model, entry.version));
   }
   // Staged vnode admission: vnode indices are stable, so ownership grows
   // monotonically stage over stage and each stage moves only the keys
@@ -628,7 +593,7 @@ Status ShardCoordinator::AdmitShardLocked(WorkerShard* worker) {
       for (auto& [scenario, entry] : table_) {
         if (entry.everywhere) continue;
         entry.replicas =
-            ring_.RouteReplicas(scenario, ReplicationFor(entry.options));
+            ring_.RouteReplicas(scenario, ReplicationFor(entry.hot));
       }
       PublishImbalanceLocked();
     }
@@ -773,37 +738,31 @@ Result<LatencyStats> ShardCoordinator::GetLatencyStats(
   return ModelServer::RegistryLatencyStats(*registry_, scenario);
 }
 
+ModelServer::Snapshot ShardCoordinator::SnapshotOf(
+    const std::string& scenario) const {
+  MutexLock state(state_mu_);
+  auto it = table_.find(scenario);
+  return it == table_.end() ? nullptr : it->second.model;
+}
+
 Result<int64_t> ShardCoordinator::FlopsPerSample(
     const std::string& scenario) const {
-  for (const std::string& id : ReplicasOf(scenario)) {
-    const WorkerShard* worker = FindShard(id);
-    if (worker == nullptr || worker->dead()) continue;
-    Result<int64_t> flops = worker->engine()->FlopsPerSample(scenario);
-    if (flops.ok()) return flops;
+  const ModelServer::Snapshot model = SnapshotOf(scenario);
+  if (model == nullptr) {
+    return Status::NotFound("scenario " + scenario + " not deployed");
   }
-  return Status::NotFound("scenario " + scenario +
-                          " has no live replica with a model");
+  return model->FlopsPerSample();
 }
 
 Status ShardCoordinator::ExportBundle(const std::string& scenario,
                                       const std::string& path) const {
-  std::string bundle;
-  {
-    MutexLock state(state_mu_);
-    auto it = table_.find(scenario);
-    if (it == table_.end()) {
-      return Status::NotFound("scenario " + scenario + " not deployed");
-    }
-    bundle = it->second.bundle;
+  const ModelServer::Snapshot model = SnapshotOf(scenario);
+  if (model == nullptr) {
+    return Status::NotFound("scenario " + scenario + " not deployed");
   }
-  // The cached broadcast bundle is byte-identical to SaveModelBundleToFile
-  // output (same serializer), so exporting is a plain write.
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path);
-  out.write(bundle.data(), static_cast<std::streamsize>(bundle.size()));
-  out.flush();
-  if (!out) return Status::IOError("short write to " + path);
-  return Status::OK();
+  // The snapshot keeps its fp32 weights beside any int8 copy, so the bundle
+  // is the one the caller deployed.
+  return SaveModelBundleToFile(model.get(), path);
 }
 
 }  // namespace shard

@@ -68,25 +68,25 @@ struct CoordinatorOptions {
 
 /// Control plane of the sharded serving plane. Owns N WorkerShards, the
 /// consistent-hash ring that maps scenario ids to shards, and the scenario
-/// table (version, replica group, cached fp32 bundle) that makes
-/// rebalancing possible.
+/// table (version, replica group, model snapshot) that makes rebalancing
+/// possible.
 ///
-/// Deploy is a broadcast: the model is serialized once, the original lands
-/// on the owner shard and bundle-clones on the other replicas, all gated by
-/// a per-scenario version so a rebalance re-deploy can never clobber a
-/// newer model. Predict and EnqueuePredict share one route/failover loop:
-/// rank the live replicas, submit to one, and continue from that task's
-/// completion callback on failure. A dead shard (Kill, or breaker forced
-/// open by consecutive failures) triggers HandleShardDeath: the shard leaves
-/// the ring and its scenarios re-deploy from cached bundles onto their new
-/// ring owners — only keys the ring moved.
+/// Deploy is a broadcast: the model is prepared once into an immutable
+/// snapshot (ModelServer::Prepare), and that one pointer is published to
+/// every replica, gated by a per-scenario version so a rebalance can never
+/// clobber a newer model. Predict and EnqueuePredict share one
+/// route/failover loop: rank the live replicas, submit to one, and continue
+/// from that task's completion callback on failure. A dead shard (Kill, or
+/// breaker forced open by consecutive failures) triggers HandleShardDeath:
+/// the shard leaves the ring and its scenarios' snapshots are published to
+/// their new ring owners — only keys the ring moved.
 ///
 /// Locking: `control_mu_` serializes control-plane operations
 /// (Deploy/Undeploy/rebalance) and is never held while scoring or while a
 /// shard task's callback runs (Kill only marks a shard dead); `state_mu_`
 /// guards brief ring/table reads on the data plane. Order: control_mu_
-/// before state_mu_; bundle (de)serialization and engine deploys run
-/// outside state_mu_ so routing stays readable during a rebalance.
+/// before state_mu_; engine publishes run outside state_mu_ so routing
+/// stays readable during a rebalance.
 ///
 /// Obs (shared registry): serving/rebalance_events, and under
 /// serving/coordinator/ the counters rejoins, failovers,
@@ -113,7 +113,7 @@ class ShardCoordinator {
 
   /// Broadcasts `model` to the scenario's replica group (ring owner first).
   /// DeployOptions::hot widens the group to hot_replication;
-  /// DeployOptions::retry_transient retries each replica's deploy attempt.
+  /// DeployOptions::retry_transient retries each replica's publish attempt.
   Status Deploy(const std::string& scenario,
                 std::unique_ptr<models::BaseModel> model,
                 const DeployOptions& options = {});
@@ -166,8 +166,8 @@ class ShardCoordinator {
   Status EvictShard(const std::string& shard_id);
 
   /// Warm re-join of a killed/evicted shard: revives the worker, resets its
-  /// breaker, re-deploys every scenario the fully-admitted ring will assign
-  /// to it from the cached bundles at current versions, and only then
+  /// breaker, publishes the current snapshot of every scenario the
+  /// fully-admitted ring will assign to it, and only then
   /// re-adds its virtual nodes in `rejoin_stages` staged batches, so no key
   /// ever routes to a shard without its model. NotFound for unknown ids;
   /// FailedPrecondition when the shard is still live.
@@ -211,11 +211,10 @@ class ShardCoordinator {
  private:
   struct ScenarioEntry {
     uint64_t version = 0;
-    /// Serialized fp32 bundle; rebalance re-deploys clone from this.
-    std::string bundle;
-    /// Deploy options minus the calibration pointer (dangling after the
-    /// original call; re-deploys re-quantize without re-calibrating).
-    DeployOptions options;
+    /// The snapshot every replica serves; rebalances and re-joins publish
+    /// this same pointer.
+    ModelServer::Snapshot model;
+    bool hot = false;
     bool everywhere = false;
     std::vector<std::string> replicas;
   };
@@ -272,24 +271,26 @@ class ShardCoordinator {
   void HandleShardDeathLocked(const std::string& shard_id)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
   /// The shared warm-admission protocol of RejoinShard/AddShard: breaker
-  /// reset, pre-deploy of the final assignment from cached bundles, then
+  /// reset, publish of the final assignment's snapshots, then
   /// staged vnode admission with per-stage replica-table recompute.
   Status AdmitShardLocked(WorkerShard* worker)
       ALT_REQUIRES(control_mu_) ALT_EXCLUDES(state_mu_);
   /// Applies the plane's per-shard configuration (queue cap, shed
   /// watermarks) to a worker.
   void ConfigureWorker(WorkerShard* worker) const;
-  /// Deploy/DeployEverywhere: serializes `original` once, deploys it to
-  /// the owner and bundle clones to the other targets, and commits the
-  /// scenario entry on success. The entry caches the options without the
-  /// calibration pointer (dangling after the call) for rebalances.
+  /// Deploy/DeployEverywhere: prepares `model` into one snapshot,
+  /// publishes it to every target, and commits the scenario entry on
+  /// success.
   Status Broadcast(const std::string& scenario,
-                   std::unique_ptr<models::BaseModel> original,
+                   std::unique_ptr<models::BaseModel> model,
                    const DeployOptions& deploy_options, bool everywhere)
       ALT_EXCLUDES(control_mu_, state_mu_);
-  int ReplicationFor(const DeployOptions& deploy) const {
-    return deploy.hot ? options_.hot_replication : options_.replication;
+  int ReplicationFor(bool hot) const {
+    return hot ? options_.hot_replication : options_.replication;
   }
+  /// The scenario's snapshot; nullptr when not deployed.
+  ModelServer::Snapshot SnapshotOf(const std::string& scenario) const
+      ALT_EXCLUDES(state_mu_);
   /// The scenario's replica group: every ring shard for an everywhere
   /// deployment, else its replicas.
   std::vector<std::string> GroupLocked(const ScenarioEntry& entry) const

@@ -92,41 +92,10 @@ void WorkerShard::Stop() {
 }
 
 Status WorkerShard::Deploy(const std::string& scenario,
-                           std::unique_ptr<models::BaseModel> model,
-                           const DeployOptions& options, uint64_t version) {
-  if (dead()) {
-    return Status::Unavailable("shard " + id_ + " is dead");
-  }
-  {
-    MutexLock lock(versions_mu_);
-    auto it = versions_.find(scenario);
-    if (it != versions_.end() && version < it->second) {
-      return Status::FailedPrecondition(
-          "stale deploy of " + scenario + " v" + std::to_string(version) +
-          " on shard " + id_ + " (have v" + std::to_string(it->second) + ")");
-    }
-  }
-  ALT_RETURN_IF_ERROR(engine_.Deploy(scenario, std::move(model), options));
-  MutexLock lock(versions_mu_);
-  uint64_t& current = versions_[scenario];
-  // Re-check under the lock: a concurrent newer deploy may have landed
-  // between the gate above and the engine swap; versions only move forward.
-  if (version > current) current = version;
-  return Status::OK();
-}
-
-Status WorkerShard::Undeploy(const std::string& scenario) {
-  {
-    MutexLock lock(versions_mu_);
-    versions_.erase(scenario);
-  }
-  return engine_.Undeploy(scenario);
-}
-
-uint64_t WorkerShard::DeployedVersion(const std::string& scenario) const {
-  MutexLock lock(versions_mu_);
-  auto it = versions_.find(scenario);
-  return it == versions_.end() ? 0 : it->second;
+                           ModelServer::Snapshot model, uint64_t version,
+                           const DeployOptions& options) {
+  if (dead()) return Status::Unavailable("shard " + id_ + " is dead");
+  return engine_.Publish(scenario, std::move(model), version, options);
 }
 
 bool WorkerShard::UpdateShedState(int64_t depth) {
@@ -225,16 +194,12 @@ Status WorkerShard::Revive() {
   if (!dead()) {
     return Status::FailedPrecondition("shard " + id_ + " is not dead");
   }
-  // Drop all stale serving state: the coordinator re-deploys every assigned
-  // scenario from its cached bundles at current versions, and anything the
-  // engine held from before the failure could conflict with scenarios
-  // re-created at restarted versions while this shard was out.
+  // Drop all stale serving state: the coordinator re-publishes every
+  // assigned scenario's current snapshot, and anything the engine held from
+  // before the failure could conflict with scenarios re-created at
+  // restarted versions while this shard was out.
   for (const std::string& scenario : engine_.Scenarios()) {
     ALT_RETURN_IF_ERROR(engine_.Undeploy(scenario));
-  }
-  {
-    MutexLock lock(versions_mu_);
-    versions_.clear();
   }
   shedding_.store(false, std::memory_order_relaxed);
   dead_.store(false, std::memory_order_release);

@@ -6,14 +6,12 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/data/dataset.h"
-#include "src/models/base_model.h"
 #include "src/obs/metrics.h"
 #include "src/obs/request_trace.h"
 #include "src/serving/model_server.h"
@@ -42,9 +40,9 @@ struct BatchingOptions {
 /// One worker of the sharded serving plane: a ModelServer engine owned by a
 /// dedicated dispatcher thread. The coordinator talks to a shard through two
 /// planes:
-///   - control plane: Deploy/Undeploy, version-gated so a stale broadcast
-///     (a rebalance racing a newer Deploy) can never overwrite a newer
-///     model — the swap itself is the engine's per-scenario atomic swap;
+///   - control plane: Deploy publishes a shared model snapshot on the
+///     engine, whose version gate keeps a stale broadcast (a rebalance
+///     racing a newer Deploy) from overwriting a newer model;
 ///   - data plane: Enqueue adds a task on the shard's one queue. The
 ///     dispatcher scores tasks in arrival order and runs each task's
 ///     completion callback on its own thread. A same-scenario run of
@@ -90,18 +88,10 @@ class WorkerShard {
 
   const std::string& id() const { return id_; }
 
-  /// Version-gated deploy onto this shard's engine. `version` must be >= the
-  /// scenario's current version on this shard (equal re-deploys are
-  /// idempotent rebalance copies); a stale version is rejected with
-  /// FailedPrecondition and a dead shard with Unavailable.
-  Status Deploy(const std::string& scenario,
-                std::unique_ptr<models::BaseModel> model,
-                const DeployOptions& options, uint64_t version);
-
-  Status Undeploy(const std::string& scenario);
-
-  /// The scenario's deployed version on this shard; 0 when never deployed.
-  uint64_t DeployedVersion(const std::string& scenario) const;
+  /// ModelServer::Publish on this shard's engine; Unavailable on a dead
+  /// shard.
+  Status Deploy(const std::string& scenario, ModelServer::Snapshot model,
+                uint64_t version, const DeployOptions& options = {});
 
   /// Enqueues a task; on OK, `done` runs exactly once and `batch` must live
   /// until then. A rejected submit returns its status and never calls
@@ -125,9 +115,9 @@ class WorkerShard {
   void Kill();
   bool dead() const { return dead_.load(std::memory_order_acquire); }
 
-  /// Undoes Kill() for warm re-join: clears every deployment and version
-  /// (the coordinator re-deploys current versions from its cached bundles)
-  /// and re-opens admission. FailedPrecondition unless the shard is dead.
+  /// Undoes Kill() for warm re-join: clears every deployment (the
+  /// coordinator re-publishes its current snapshots) and re-opens admission.
+  /// FailedPrecondition unless the shard is dead.
   Status Revive();
 
   /// Joins the dispatcher and completes every task still queued with
@@ -166,8 +156,8 @@ class WorkerShard {
   }
 
   /// The shard-local engine. Exposed for control-plane wiring only
-  /// (ConfigureResilience, breaker states, bundle export) — predictions go
-  /// through Enqueue so they run on the shard's thread.
+  /// (ConfigureResilience, breaker states, Undeploy, deployed versions) —
+  /// predictions go through Enqueue so they run on the shard's thread.
   ModelServer* engine() { return &engine_; }
   const ModelServer* engine() const { return &engine_; }
 
@@ -221,9 +211,6 @@ class WorkerShard {
   int64_t high_watermark_ ALT_GUARDED_BY(mu_) = 0;
   bool stopping_ ALT_GUARDED_BY(mu_) = false;
   bool paused_ ALT_GUARDED_BY(mu_) = false;
-
-  mutable Mutex versions_mu_;
-  std::map<std::string, uint64_t> versions_ ALT_GUARDED_BY(versions_mu_);
 
   std::thread dispatcher_;  // Last member: starts after the state above.
 };

@@ -38,27 +38,41 @@ data::Batch OneSample(uint64_t seed) {
 }
 
 TEST(ExportBundleTest, ExportedBundleServesIdentically) {
-  ModelServer server;
-  ASSERT_TRUE(server.Deploy("bank", TinyModel(1)).ok());
+  // The export is written from the deployed snapshot, which keeps its fp32
+  // weights beside the int8 copy of a quantized deploy.
+  obs::MetricsRegistry registry;
+  ServingClient client(ServingClient::Options{}, &registry);
+  ASSERT_TRUE(client.Deploy("bank", TinyModel(1)).ok());
+  DeployOptions quantized;
+  quantized.quantize_int8 = true;
+  ASSERT_TRUE(client.Deploy("bank_int8", TinyModel(1), quantized).ok());
   const std::string path = ::testing::TempDir() + "/alt_export_test.altm";
-  ASSERT_TRUE(server.ExportBundle("bank", path).ok());
+  const std::string int8_path =
+      ::testing::TempDir() + "/alt_export_test_int8.altm";
+  ASSERT_TRUE(client.ExportBundle("bank", path).ok());
+  ASSERT_TRUE(client.ExportBundle("bank_int8", int8_path).ok());
 
   auto reloaded = LoadModelBundleFromFile(path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   data::Batch probe = OneSample(2);
-  auto direct = server.Predict("bank", probe);
+  auto direct = client.Predict("bank", probe);
   ASSERT_TRUE(direct.ok());
   auto from_bundle = reloaded.value()->PredictProbs(probe);
   EXPECT_FLOAT_EQ(direct.value()[0], from_bundle[0]);
+  auto reloaded_int8 = LoadModelBundleFromFile(int8_path);
+  ASSERT_TRUE(reloaded_int8.ok()) << reloaded_int8.status().ToString();
+  EXPECT_EQ(reloaded_int8.value()->PredictProbs(probe), from_bundle);
   std::remove(path.c_str());
+  std::remove(int8_path.c_str());
 }
 
 TEST(ExportBundleTest, ExportErrors) {
-  ModelServer server;
-  EXPECT_FALSE(server.ExportBundle("ghost", "/tmp/x.altm").ok());
-  ASSERT_TRUE(server.Deploy("bank", TinyModel(3)).ok());
+  obs::MetricsRegistry registry;
+  ServingClient client(ServingClient::Options{}, &registry);
+  EXPECT_FALSE(client.ExportBundle("ghost", "/tmp/x.altm").ok());
+  ASSERT_TRUE(client.Deploy("bank", TinyModel(3)).ok());
   EXPECT_FALSE(
-      server.ExportBundle("bank", "/nonexistent/dir/x.altm").ok());
+      client.ExportBundle("bank", "/nonexistent/dir/x.altm").ok());
 }
 
 TEST(EnqueuePredictTest, MixedScenariosAreRoutedCorrectly) {

@@ -2,6 +2,7 @@
 // sharded plane — including the elastic lifecycle surface (warm re-join,
 // runtime AddShard, the shard-state HealthReport).
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <string>
@@ -103,6 +104,12 @@ TEST(ServingClientTest, MalformedRequestsAreRefusedNotFatal) {
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   EXPECT_EQ(good.value().size(), 1u);
   EXPECT_EQ(client.GetStats().live_shards, 2);
+  // Malformed traffic is counted apart and burns none of the SLO budget.
+  EXPECT_EQ(registry.counter_value("serving/request/invalid/s"), 32);
+  const auto slo = client.slo()->Snapshot();
+  ASSERT_EQ(slo.count("s"), 1u);
+  EXPECT_EQ(slo.at("s").bad, 0);
+  EXPECT_EQ(slo.at("s").total, 1);
 }
 
 TEST(ServingClientTest, SingleShardDefaultMatchesClassicServing) {
@@ -333,6 +340,63 @@ TEST(ServingClientTest, ResilienceDegradesUnknownScenarios) {
   EXPECT_EQ(states.count("shard:shard-1"), 1u);
 }
 
+TEST(ServingClientTest, EnableResilienceWhileServing) {
+  // Turning resilience on (and re-tuning it) races no in-flight request:
+  // each Predict runs under the one policy it read.
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(2, 2), &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(21)).ok());
+  const data::Batch batch = OneSample(22);
+  const std::vector<float> expected = client.Predict("s", batch).value();
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::atomic<int> served{0};
+  std::thread traffic([&] {
+    while (!stop.load()) {
+      auto scores = client.Predict("s", batch);
+      if (!scores.ok() || scores.value() != expected) wrong.fetch_add(1);
+      served.fetch_add(1);
+    }
+  });
+  for (int i = 0; i <= 20; ++i) {
+    // Each switch waits for a fresh answer, so it lands in flowing traffic;
+    // the last wait lets requests run under the final policy.
+    const int seen = served.load();
+    while (served.load() == seen) std::this_thread::yield();
+    if (i == 20) break;
+    ServingResilienceOptions options;
+    options.fallback_prior = 0.1f * static_cast<float>(i % 5);
+    client.EnableResilience(options);
+  }
+  stop.store(true);
+  traffic.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(client.BreakerStates().count("s"), 1u);
+}
+
+TEST(ServingClientTest, ReplicatedQuantizedDeployPreparesOnce) {
+  // One deploy call quantizes once, and every replica serves that one
+  // snapshot.
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(3, 3), &registry);
+  DeployOptions options;
+  options.quantize_int8 = true;
+  ASSERT_TRUE(client.Deploy("s", TinyModel(23), options).ok());
+  EXPECT_EQ(registry.counter_value("serving/quantized_deploys"), 1);
+  const std::vector<std::string> replicas =
+      client.coordinator()->ReplicasOf("s");
+  ASSERT_EQ(replicas.size(), 3u);
+  const ModelServer::Snapshot model =
+      client.coordinator()->shard(replicas[0])->engine()->Model("s");
+  ASSERT_NE(model, nullptr);
+  for (const std::string& id : replicas) {
+    EXPECT_EQ(client.coordinator()->shard(id)->engine()->Model("s"), model);
+  }
+  // A redeploy prepares (and counts) once more.
+  ASSERT_TRUE(client.Deploy("s", TinyModel(24), options).ok());
+  EXPECT_EQ(registry.counter_value("serving/quantized_deploys"), 2);
+}
+
 TEST(ServingClientTest, ExportBundleWritesServableArtifact) {
   obs::MetricsRegistry registry;
   ServingClient client(SmallTopology(2, 1), &registry);
@@ -392,7 +456,7 @@ TEST(ServingClientTest, KillRejoinLosesNoBatchRequests) {
   EXPECT_GE(registry.counter_value("serving/coordinator/rejoins"), 1);
   // The rejoined shard serves again: its model came back from the cached
   // bundle at the current version.
-  EXPECT_GE(client.coordinator()->shard(owner)->DeployedVersion("s"), 1u);
+  EXPECT_GE(client.coordinator()->shard(owner)->engine()->Version("s"), 1u);
 }
 
 TEST(ServingClientTest, AddShardGrowsTopologyAndServes) {
@@ -402,6 +466,7 @@ TEST(ServingClientTest, AddShardGrowsTopologyAndServes) {
   ASSERT_TRUE(client.AddShard("shard-2").ok());
   EXPECT_EQ(client.NumLiveShards(), 3);
   EXPECT_EQ(client.ShardIds().size(), 3u);
+  EXPECT_EQ(client.GetStats().num_shards, 3);
   EXPECT_EQ(client.AddShard("shard-2").code(), StatusCode::kAlreadyExists);
 
   // The newcomer participates in batched serving without request loss.

@@ -122,7 +122,7 @@ TEST(ModelServerTest, DeployPredictUndeploy) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().num_requests, 1);
   EXPECT_GT(stats.value().mean_ms, 0.0);
-  EXPECT_GT(server.FlopsPerSample("bank_a").value(), 0);
+  EXPECT_GT(server.Model("bank_a")->FlopsPerSample(), 0);
 
   ASSERT_TRUE(server.Undeploy("bank_a").ok());
   EXPECT_FALSE(server.IsDeployed("bank_a"));

@@ -149,6 +149,14 @@ std::unique_ptr<models::BaseModel> TinyModel(uint64_t seed) {
   return std::move(model).value();
 }
 
+/// TinyModel(seed) as a deploy prepares it for serving.
+ModelServer::Snapshot TinySnapshot(uint64_t seed) {
+  auto snapshot =
+      ModelServer::Prepare("s", TinyModel(seed), DeployOptions{}, nullptr);
+  EXPECT_TRUE(snapshot.ok());
+  return std::move(snapshot).value();
+}
+
 data::Batch OneSample(uint64_t seed) {
   Rng rng(seed);
   data::Batch batch;
@@ -163,23 +171,22 @@ data::Batch OneSample(uint64_t seed) {
 TEST(WorkerShardTest, VersionGateRejectsStaleAcceptsEqual) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
-  DeployOptions options;
-  ASSERT_TRUE(shard.Deploy("s", TinyModel(1), options, 5).ok());
-  EXPECT_EQ(shard.DeployedVersion("s"), 5u);
+  ASSERT_TRUE(shard.Deploy("s", TinySnapshot(1), 5).ok());
+  EXPECT_EQ(shard.engine()->Version("s"), 5u);
   // A stale broadcast (rebalance racing a newer deploy) must not clobber.
-  Status stale = shard.Deploy("s", TinyModel(2), options, 4);
+  Status stale = shard.Deploy("s", TinySnapshot(2), 4);
   EXPECT_EQ(stale.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(shard.DeployedVersion("s"), 5u);
+  EXPECT_EQ(shard.engine()->Version("s"), 5u);
   // Equal versions are idempotent rebalance copies.
-  EXPECT_TRUE(shard.Deploy("s", TinyModel(3), options, 5).ok());
-  EXPECT_TRUE(shard.Deploy("s", TinyModel(4), options, 7).ok());
-  EXPECT_EQ(shard.DeployedVersion("s"), 7u);
+  EXPECT_TRUE(shard.Deploy("s", TinySnapshot(3), 5).ok());
+  EXPECT_TRUE(shard.Deploy("s", TinySnapshot(4), 7).ok());
+  EXPECT_EQ(shard.engine()->Version("s"), 7u);
 }
 
 TEST(WorkerShardTest, KillDrainsQueueWithUnavailable) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
-  ASSERT_TRUE(shard.Deploy("s", TinyModel(1), DeployOptions{}, 1).ok());
+  ASSERT_TRUE(shard.Deploy("s", TinySnapshot(1), 1).ok());
   const data::Batch batch = OneSample(2);
   EXPECT_TRUE(shard.SubmitPredict("s", batch).get().ok());
   shard.Kill();
@@ -187,7 +194,7 @@ TEST(WorkerShardTest, KillDrainsQueueWithUnavailable) {
   auto result = shard.SubmitPredict("s", batch).get();
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   // Deploys against a dead shard fail fast too.
-  EXPECT_EQ(shard.Deploy("t", TinyModel(2), DeployOptions{}, 1).code(),
+  EXPECT_EQ(shard.Deploy("t", TinySnapshot(2), 1).code(),
             StatusCode::kUnavailable);
   shard.Kill();  // Idempotent.
 }
@@ -208,7 +215,7 @@ TEST(ShardCoordinatorTest, BroadcastDeploysIdenticalReplicas) {
   std::vector<std::string> replicas = coordinator.ReplicasOf("s");
   ASSERT_EQ(replicas.size(), 2u);
 
-  // Every replica serves the same scores: the bundle clone is exact.
+  // Every replica serves the same scores: they share one snapshot.
   const data::Batch batch = OneSample(3);
   std::vector<float> expected;
   for (const std::string& id : replicas) {
@@ -227,7 +234,7 @@ TEST(ShardCoordinatorTest, BroadcastDeploysIdenticalReplicas) {
   ASSERT_TRUE(coordinator.Deploy("s", TinyModel(8)).ok());
   EXPECT_EQ(coordinator.VersionOf("s"), 2u);
   for (const std::string& id : coordinator.ReplicasOf("s")) {
-    EXPECT_EQ(coordinator.shard(id)->DeployedVersion("s"), 2u);
+    EXPECT_EQ(coordinator.shard(id)->engine()->Version("s"), 2u);
   }
 }
 
@@ -242,6 +249,115 @@ TEST(ShardCoordinatorTest, HotScenarioGetsWiderReplicaGroup) {
   ASSERT_TRUE(coordinator.Deploy("hot", TinyModel(2), hot).ok());
   EXPECT_EQ(coordinator.ReplicasOf("cold").size(), 1u);
   EXPECT_EQ(coordinator.ReplicasOf("hot").size(), 3u);
+}
+
+TEST(ShardCoordinatorTest, HotReplicasShareOneSnapshotConcurrently) {
+  // Both replicas of a hot scenario serve the one snapshot the deploy
+  // prepared: both dispatchers and direct engine calls run its forward
+  // pass at once, with no per-model lock.
+  obs::MetricsRegistry registry;
+  CoordinatorOptions options = SmallCoordinator(2, 1);
+  options.hot_replication = 2;
+  ShardCoordinator coordinator(options, &registry);
+  DeployOptions hot;
+  hot.hot = true;
+  ASSERT_TRUE(coordinator.Deploy("s", TinyModel(5), hot).ok());
+  const std::vector<std::string> replicas = coordinator.ReplicasOf("s");
+  ASSERT_EQ(replicas.size(), 2u);
+  const ModelServer::Snapshot model =
+      coordinator.shard(replicas[0])->engine()->Model("s");
+  ASSERT_NE(model, nullptr);
+  EXPECT_EQ(coordinator.shard(replicas[1])->engine()->Model("s"), model);
+
+  const data::Batch batch = OneSample(6);
+  const std::vector<float> expected = model->PredictProbs(batch);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (const std::string& id : replicas) {
+    WorkerShard* worker = coordinator.shard(id);
+    threads.emplace_back([&, worker] {
+      for (int i = 0; i < 50; ++i) {
+        auto scores = worker->SubmitPredict("s", batch).get();
+        if (!scores.ok() || scores.value() != expected) wrong.fetch_add(1);
+      }
+    });
+    threads.emplace_back([&, worker] {
+      for (int i = 0; i < 50; ++i) {
+        auto scores = worker->engine()->Predict("s", batch);
+        if (!scores.ok() || scores.value() != expected) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ShardCoordinatorTest, RedeploysInterleavedWithPredictsServeOldOrNew) {
+  // A redeploy swaps a pointer under in-flight traffic: every answer is
+  // exactly the old or the new model's, and no version goes backwards.
+  obs::MetricsRegistry registry;
+  CoordinatorOptions options = SmallCoordinator(2, 1);
+  options.hot_replication = 2;
+  ShardCoordinator coordinator(options, &registry);
+  const data::Batch batch = OneSample(7);
+  const std::vector<float> scores_a = TinyModel(8)->PredictProbs(batch);
+  const std::vector<float> scores_b = TinyModel(9)->PredictProbs(batch);
+  ASSERT_NE(scores_a, scores_b);
+  DeployOptions hot;
+  hot.hot = true;
+  ASSERT_TRUE(coordinator.Deploy("s", TinyModel(8), hot).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> answered{0};
+  std::atomic<int> wrong{0};
+  std::atomic<int> backwards{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      while (!stop.load()) {
+        auto scores = coordinator.Predict("s", batch);
+        if (!scores.ok() ||
+            (scores.value() != scores_a && scores.value() != scores_b)) {
+          wrong.fetch_add(1);
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    uint64_t table = 0;
+    std::map<std::string, uint64_t> seen;
+    while (!stop.load()) {
+      const uint64_t now = coordinator.VersionOf("s");
+      if (now < table) backwards.fetch_add(1);
+      table = now;
+      for (const std::string& id : coordinator.ShardIds()) {
+        const uint64_t version = coordinator.shard(id)->engine()->Version("s");
+        if (version < seen[id]) backwards.fetch_add(1);
+        seen[id] = version;
+      }
+    }
+  });
+  constexpr int kRedeploys = 40;
+  for (int k = 1; k <= kRedeploys; ++k) {
+    // Each swap waits for a fresh answer, so every redeploy lands in
+    // flowing traffic.
+    const int seen = answered.load();
+    while (answered.load() == seen) std::this_thread::yield();
+    EXPECT_TRUE(coordinator.Deploy("s", TinyModel(k % 2 == 1 ? 9 : 8), hot)
+                    .ok());
+  }
+  stop.store(true);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_GE(answered.load(), kRedeploys);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(backwards.load(), 0);
+  EXPECT_EQ(coordinator.VersionOf("s"), 1u + kRedeploys);
+  for (const std::string& id : coordinator.ReplicasOf("s")) {
+    EXPECT_EQ(coordinator.shard(id)->engine()->Version("s"), 1u + kRedeploys);
+  }
+  // The last redeploy (k = 40) installed model 8.
+  EXPECT_EQ(coordinator.Predict("s", batch).value(), scores_a);
 }
 
 TEST(ShardCoordinatorTest, KillTriggersRebalanceWithZeroLostRequests) {
@@ -397,7 +513,7 @@ TEST(HashRingTest, StagedVnodeAdmissionBoundsPerStageMovement) {
 TEST(WorkerShardTest, ShedWatermarksHysteresisAndCriticalBypass) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
-  ASSERT_TRUE(shard.Deploy("s", TinyModel(30), DeployOptions{}, 1).ok());
+  ASSERT_TRUE(shard.Deploy("s", TinySnapshot(30), 1).ok());
   shard.set_shed_watermarks(/*high=*/3, /*low=*/1);
   shard.PauseDispatchForTesting(true);
 
@@ -442,7 +558,7 @@ TEST(WorkerShardTest, ShedWatermarksHysteresisAndCriticalBypass) {
 TEST(WorkerShardTest, HardQueueCapStillRejectsCriticalTraffic) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
-  ASSERT_TRUE(shard.Deploy("s", TinyModel(32), DeployOptions{}, 1).ok());
+  ASSERT_TRUE(shard.Deploy("s", TinySnapshot(32), 1).ok());
   shard.set_max_queue_depth(2);
   shard.PauseDispatchForTesting(true);
 
@@ -560,7 +676,7 @@ TEST(ShardCoordinatorTest, RejoinShardRedeploysAtCurrentVersions) {
   for (int s = 0; s < kScenarios; ++s) {
     const std::string scenario = "scenario_" + std::to_string(s);
     for (const std::string& id : coordinator.ReplicasOf(scenario)) {
-      EXPECT_EQ(coordinator.shard(id)->DeployedVersion(scenario),
+      EXPECT_EQ(coordinator.shard(id)->engine()->Version(scenario),
                 coordinator.VersionOf(scenario))
           << scenario << " on " << id;
     }
@@ -586,14 +702,14 @@ TEST(ShardCoordinatorTest, AddShardJoinsRingAndServesAssignedScenarios) {
   EXPECT_EQ(coordinator.NumLiveShards(), 4);
 
   // Everywhere-deployments cover the newcomer too.
-  EXPECT_GE(coordinator.shard("shard-3")->DeployedVersion("f0"), 1u);
+  EXPECT_GE(coordinator.shard("shard-3")->engine()->Version("f0"), 1u);
   // Replica tables were recomputed against the grown ring; whatever routed
   // to the newcomer is deployed there.
   const data::Batch batch = OneSample(67);
   for (int s = 0; s < 6; ++s) {
     const std::string scenario = "scenario_" + std::to_string(s);
     for (const std::string& id : coordinator.ReplicasOf(scenario)) {
-      EXPECT_EQ(coordinator.shard(id)->DeployedVersion(scenario),
+      EXPECT_EQ(coordinator.shard(id)->engine()->Version(scenario),
                 coordinator.VersionOf(scenario))
           << scenario << " on " << id;
     }

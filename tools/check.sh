@@ -285,12 +285,15 @@ if wants tsan; then
   # the thread-local grad mode (autograd_test trains on one thread while
   # another holds a NoGradGuard), and the serving plane, whose shard
   # dispatchers run completion callbacks that fail requests over to other
-  # shards (serving_client_test, shard_test). Only the threading-related
-  # targets are built and run: TSan slows everything ~10x and the rest of
-  # the suite is single-threaded.
+  # shards (serving_client_test, shard_test) and whose engines run
+  # concurrent forward passes on one shared model snapshot with no lock
+  # (serving_test's ConcurrentPredictsAreSafe, shard_test's replica and
+  # redeploy tests, serving_client_test's live resilience switch). Only the
+  # threading-related targets are built and run: TSan slows everything
+  # ~10x and the rest of the suite is single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
                 obs_test obs_export_test autograd_test serving_client_test
-                shard_test)
+                shard_test serving_test)
   echo "==> configuring build-tsan (-DALT_SANITIZE=thread -DALT_DCHECKS=ON)"
   cmake -B build-tsan -S . -DALT_SANITIZE=thread -DALT_DCHECKS=ON >/dev/null
   echo "==> building build-tsan (${TSAN_TARGETS[*]})"
