@@ -36,8 +36,9 @@
 // least one completed (ok) request whose segment decomposition contains a
 // `failover` segment and whose segments sum to within 5% of its end-to-end
 // latency. A separate A/B probe measures the throughput cost of 1% sampling
-// vs tracing disabled (recorded in derived as trace_overhead_frac; asserted
-// < 3% in full mode only — the smoke probe is too short to be stable).
+// vs tracing disabled in alternating pairs of runs (recorded in derived as
+// trace_overhead_frac, from the median per-pair ratio; asserted < 3% in full
+// mode only — the smoke probe is too short to be stable).
 
 #include <algorithm>
 #include <chrono>
@@ -343,14 +344,35 @@ int Run(int argc, char** argv) {
   }
 
   // Tracing-overhead A/B probe on an isolated small client: sampling off vs
-  // the production 1% rate.
+  // the production 1% rate. The arms run as pairs whose order alternates,
+  // an even number of them, so warm-up and host drift land on both arms
+  // alike; the overhead is one minus the median per-pair throughput ratio.
   const int64_t probe_requests = smoke ? 8000 : 120000;
-  std::printf("probing tracing overhead (%lld requests per arm)...\n",
-              static_cast<long long>(probe_requests));
-  const double rps_untraced = ProbeArm(probe_requests, 0.0);
-  const double rps_traced = ProbeArm(probe_requests, 0.01);
-  const double trace_overhead =
-      rps_untraced > 0.0 ? 1.0 - rps_traced / rps_untraced : 0.0;
+  const int probe_pairs = smoke ? 4 : 6;
+  std::printf("probing tracing overhead (%d pairs, %lld requests per "
+              "arm)...\n",
+              probe_pairs, static_cast<long long>(probe_requests));
+  std::vector<double> untraced_rps, traced_rps, pair_ratios;
+  for (int pair = 0; pair < probe_pairs; ++pair) {
+    double untraced = 0.0, traced = 0.0;
+    if (pair % 2 == 0) {
+      untraced = ProbeArm(probe_requests, 0.0);
+      traced = ProbeArm(probe_requests, 0.01);
+    } else {
+      traced = ProbeArm(probe_requests, 0.01);
+      untraced = ProbeArm(probe_requests, 0.0);
+    }
+    untraced_rps.push_back(untraced);
+    traced_rps.push_back(traced);
+    pair_ratios.push_back(untraced > 0.0 ? traced / untraced : 1.0);
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return 0.5 * (v[(v.size() - 1) / 2] + v[v.size() / 2]);
+  };
+  const double rps_untraced = median(untraced_rps);
+  const double rps_traced = median(traced_rps);
+  const double trace_overhead = 1.0 - median(pair_ratios);
 
   std::printf("total:     %lld requests in %.2fs -> %.0f req/s\n",
               static_cast<long long>(total.requests), total.seconds,
@@ -378,8 +400,8 @@ int Run(int argc, char** argv) {
               static_cast<long long>(failover_traces), best_failover_gap,
               stats.slowest_request_ms);
   std::printf("overhead:  untraced %.0f req/s vs 1%%-sampled %.0f req/s "
-              "-> %.2f%%\n",
-              rps_untraced, rps_traced, 100.0 * trace_overhead);
+              "(medians) -> %.2f%% (median of %d paired ratios)\n",
+              rps_untraced, rps_traced, 100.0 * trace_overhead, probe_pairs);
 
   Json::Array results;
   auto add = [&](const std::string& name, const PhaseStats& phase) {

@@ -29,19 +29,19 @@ namespace obs {
 ///   - a bounded ring of the N slowest completed request traces, served at
 ///     `/trace/slow`.
 /// The context propagates by value through ServingClient → ShardCoordinator
-/// → the WorkerShard dispatcher queue; an unsampled context costs zero clock
-/// reads anywhere along that path.
+/// → WorkerShard (inline, or through its dispatcher queue); an unsampled
+/// context costs zero clock reads anywhere along that path.
 
 /// Canonical segment taxonomy of the serving path. Segment sums are designed
 /// to account for a request's end-to-end latency:
-///   direct path : route + [failover|shed_requeue]* + queue_wait + compute
+///   direct path : route + [failover|shed_requeue]* + compute, all on the
+///                 caller's thread
 ///   batched path: route + [failover|shed_requeue]* + batch_wait + compute,
 ///                 booked by every passenger of a coalesced engine call:
 ///                 batch_wait runs from enqueue to the start of the shared
 ///                 call, compute is the shared call
 namespace segment {
 inline constexpr const char* kRoute = "route";          // p2c replica ranking
-inline constexpr const char* kQueueWait = "queue_wait";  // shard dispatch queue
 inline constexpr const char* kBatchWait = "batch_wait";  // queue + coalesce
 inline constexpr const char* kCompute = "compute";       // engine Predict
 inline constexpr const char* kRetryBackoff = "retry_backoff";  // retry sleeps

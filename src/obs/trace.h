@@ -50,8 +50,8 @@ struct TraceEvent {
 class RequestTrace;  // src/obs/request_trace.h
 
 /// Identity of one request as it crosses threads: caller → coordinator →
-/// shard dispatcher → batch flush. Copied by value; the shared_ptr keeps the
-/// per-request segment accumulator alive on every thread the request visits.
+/// shard, inline or through its dispatcher. Copied by value; the shared_ptr
+/// keeps the per-request segment accumulator alive on every thread it visits.
 /// A default-constructed context is unsampled and makes every tracing hook
 /// along the path a no-op.
 struct RequestContext {

@@ -195,6 +195,10 @@ obs::Histogram* ServingClient::LatencyHistogramFor(
 
 void ServingClient::RecordOutcome(const std::string& scenario,
                                   double latency_ms, const Status& status) {
+  if (status.code() == StatusCode::kNotFound) {  // No per-name state.
+    registry_->counter("serving/request/not_found")->Add(1);
+    return;
+  }
   if (registry_->enabled()) {
     LatencyHistogramFor(scenario)->Observe(latency_ms);
   }

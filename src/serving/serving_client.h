@@ -29,19 +29,18 @@ namespace serving {
 /// deploy, predict, batch-predict, undeploy, elasticity, and stats.
 /// Subsumes direct ModelServer use.
 ///
-/// Topology: `Options::num_shards` WorkerShards (each a ModelServer on its
-/// own dispatcher thread) behind a ShardCoordinator — consistent-hash
+/// Topology: `Options::num_shards` WorkerShards (each a ModelServer with a
+/// batching dispatcher thread) behind a ShardCoordinator — consistent-hash
 /// routing, replica groups, breaker-driven rebalancing, and version-gated
 /// deploy broadcast. `num_shards = 1` (the default) is the classic
-/// single-server layout.
+/// single-server layout. A direct Predict is scored on the caller's thread.
 ///
 /// Batch path: EnqueuePredict queues a one-row task on the scenario's first
 /// live replica, whose dispatcher coalesces the same-scenario rows at the
-/// front of its queue into one engine call — one queue and one thread hop,
-/// like the direct path. A dead shard's queued requests fail over to
-/// replicas; with no replica left they fail kUnavailable (counted in
-/// serving/shard_unavailable). Batched requests feed
-/// serving/batch_predictor/request_latency_ms.
+/// front of its queue into one engine call — one queue and one thread hop.
+/// A dead shard's queued requests fail over to replicas; with no replica
+/// left they fail kUnavailable (counted in serving/shard_unavailable).
+/// Batched requests feed serving/batch_predictor/request_latency_ms.
 class ServingClient {
  public:
   struct Options {
@@ -225,9 +224,9 @@ class ServingClient {
   /// alt_serving_request_latency_ms{id="<scenario>"}), cached per scenario.
   obs::Histogram* LatencyHistogramFor(const std::string& scenario)
       ALT_EXCLUDES(latency_mu_);
-  /// Terminal accounting for every request (direct or batched): scenario
-  /// latency histogram + SLO outcome, or for a malformed (InvalidArgument)
-  /// request serving/request/invalid/<scenario> instead of the SLO.
+  /// Terminal accounting for every request (direct or batched): latency
+  /// histogram + SLO outcome, serving/request/invalid/<scenario> instead of
+  /// the SLO when malformed, and only serving/request/not_found if unknown.
   void RecordOutcome(const std::string& scenario, double latency_ms,
                      const Status& status);
 

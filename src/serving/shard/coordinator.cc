@@ -1,7 +1,6 @@
 #include "src/serving/shard/coordinator.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #include "src/serving/model_store.h"
@@ -98,7 +97,7 @@ void ShardCoordinator::ConfigureWorker(WorkerShard* worker) const {
                               options_.shed_low_watermark);
 }
 
-WorkerShard* ShardCoordinator::FindShard(const std::string& shard_id) const {
+WorkerShard* ShardCoordinator::shard(const std::string& shard_id) const {
   MutexLock state(state_mu_);
   auto it = shards_by_id_.find(shard_id);
   return it == shards_by_id_.end() ? nullptr : it->second;
@@ -142,7 +141,7 @@ Status ShardCoordinator::Broadcast(const std::string& scenario,
   obs::ScopedTimerMs timer(broadcast_ms_);
   Status first_error;
   for (const std::string& id : targets) {
-    WorkerShard* target = FindShard(id);
+    WorkerShard* target = shard(id);
     if (target == nullptr) continue;
     Status status =
         target->Deploy(scenario, entry.model, entry.version, deploy_options);
@@ -185,7 +184,7 @@ Status ShardCoordinator::Undeploy(const std::string& scenario) {
     PublishImbalanceLocked();
   }
   for (const std::string& id : targets) {
-    WorkerShard* worker = FindShard(id);
+    WorkerShard* worker = shard(id);
     if (worker == nullptr) continue;
     // A replica that never finished its deploy reports NotFound; that is
     // the desired end state, not an error.
@@ -251,19 +250,18 @@ Result<std::vector<float>> ShardCoordinator::Predict(
     const std::string& scenario, const data::Batch& batch,
     const obs::RequestContext& ctx) {
   // Request-linked span for sampled requests; its context parents the
-  // per-shard dispatch spans so Perfetto shows one causal lane per request.
+  // shard's engine-call span so Perfetto shows one causal lane per request.
   obs::TraceSpan request_span("serving/coordinator/predict", ctx);
-  auto promise = std::make_shared<std::promise<Result<std::vector<float>>>>();
-  std::future<Result<std::vector<float>>> future = promise->get_future();
+  Result<std::vector<float>> answer = std::vector<float>();
   auto trip = std::make_shared<Trip>();
   trip->scenario = scenario;
   trip->batch = &batch;
   trip->ctx = request_span.context();
-  trip->done = [promise](Result<std::vector<float>> result) {
-    promise->set_value(std::move(result));
+  trip->done = [&answer](Result<std::vector<float>> result) {  // Inline.
+    answer = std::move(result);
   };
   RouteTrip(std::move(trip));
-  return future.get();
+  return answer;
 }
 
 void ShardCoordinator::EnqueuePredict(const std::string& scenario,
@@ -320,11 +318,16 @@ void ShardCoordinator::RouteTrip(std::shared_ptr<Trip> trip) {
       BookAttempt(trip->ctx, trip->attempt_us, obs::segment::kFailover);
       continue;
     }
+    if (!trip->coalesce) {  // Scored inline, on the caller's thread.
+      auto scores = worker->Predict(trip->scenario, *trip->batch,
+                                    trip->admission, trip->ctx);
+      if (Settle(trip.get(), worker, breaker, std::move(scores), false)) return;
+      continue;
+    }
     Trip* raw = trip.get();
     // Once the shard accepts the task, the trip belongs to its callback.
     const Status admitted = worker->Enqueue(
         raw->scenario, raw->batch, raw->admission, raw->ctx,
-        raw->coalesce,
         [this, trip, worker, breaker](Result<std::vector<float>> result,
                                       bool shared) {
           if (!Settle(trip.get(), worker, breaker, std::move(result),
@@ -409,14 +412,14 @@ void ShardCoordinator::EnableResilience(
 }
 
 Status ShardCoordinator::KillShard(const std::string& shard_id) {
-  WorkerShard* worker = FindShard(shard_id);
+  WorkerShard* worker = shard(shard_id);
   if (worker == nullptr) return Status::NotFound("unknown shard " + shard_id);
   worker->Kill();
   return Status::OK();
 }
 
 Status ShardCoordinator::EvictShard(const std::string& shard_id) {
-  if (FindShard(shard_id) == nullptr) {
+  if (shard(shard_id) == nullptr) {
     return Status::NotFound("unknown shard " + shard_id);
   }
   // HandleShardDeath kills the worker and is idempotent, so a supervisor
@@ -427,9 +430,9 @@ Status ShardCoordinator::EvictShard(const std::string& shard_id) {
 
 void ShardCoordinator::HandleShardDeath(const std::string& shard_id) {
   {
-    // Callbacks of the shard's queued tasks all land here; once it is
-    // rebalanced away they return without waiting on control_mu_, which a
-    // re-join holds through its staged pauses.
+    // Every request failed by the shard lands here; once it is rebalanced
+    // away they return without waiting on control_mu_, which a re-join
+    // holds through its staged pauses.
     MutexLock state(state_mu_);
     if (!RoutableLocked(shard_id)) return;
   }
@@ -469,15 +472,15 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
   rebalance_events_->Add(1);
   // The shard is leaving the ring (until a supervisor-driven RejoinShard
   // re-admits it), so park its worker even when the trigger was an open
-  // breaker rather than an explicit Kill: queued requests drain with
+  // breaker rather than an explicit Kill: requests in flight complete
   // Unavailable and fail over.
-  WorkerShard* victim = FindShard(shard_id);
+  WorkerShard* victim = shard(shard_id);
   if (victim != nullptr) victim->Kill();
   // Publishes run outside state_mu_ so routing stays readable; control_mu_
   // keeps the table stable meanwhile.
   for (Affected& item : affected) {
     for (const std::string& target : item.add_targets) {
-      WorkerShard* worker = FindShard(target);
+      WorkerShard* worker = shard(target);
       if (worker == nullptr || worker->dead()) continue;
       const Status status =
           worker->Deploy(item.scenario, item.model, item.version);
@@ -499,7 +502,7 @@ void ShardCoordinator::HandleShardDeathLocked(const std::string& shard_id) {
 
 Status ShardCoordinator::RejoinShard(const std::string& shard_id) {
   MutexLock control(control_mu_);
-  WorkerShard* worker = FindShard(shard_id);
+  WorkerShard* worker = shard(shard_id);
   if (worker == nullptr) return Status::NotFound("unknown shard " + shard_id);
   if (!worker->dead()) {
     return Status::FailedPrecondition("shard " + shard_id +
@@ -523,7 +526,7 @@ Status ShardCoordinator::RejoinShard(const std::string& shard_id) {
 
 Status ShardCoordinator::AddShard(const std::string& shard_id) {
   MutexLock control(control_mu_);
-  if (FindShard(shard_id) != nullptr) {
+  if (shard(shard_id) != nullptr) {
     return Status::AlreadyExists("shard " + shard_id + " already exists");
   }
   auto owned = std::make_unique<WorkerShard>(shard_id, registry_, batching_);
@@ -635,14 +638,6 @@ int ShardCoordinator::NumLiveShards() const {
   return live;
 }
 
-const WorkerShard* ShardCoordinator::shard(const std::string& shard_id) const {
-  return FindShard(shard_id);
-}
-
-WorkerShard* ShardCoordinator::shard(const std::string& shard_id) {
-  return FindShard(shard_id);
-}
-
 std::vector<std::string> ShardCoordinator::ReplicasOf(
     const std::string& scenario) const {
   MutexLock state(state_mu_);
@@ -693,36 +688,31 @@ bool ShardCoordinator::RoutableLocked(const std::string& shard_id) const {
   return false;
 }
 
-double ShardCoordinator::ImbalanceLocked() const {
-  if (ring_.NumShards() == 0) return 1.0;
+double ShardCoordinator::PublishImbalanceLocked() const {
   std::map<std::string, int64_t> owned;
   for (const std::string& id : ring_.Shards()) owned[id] = 0;
   int64_t total = 0;
+  int64_t max_owned = 0;
   for (const auto& [scenario, entry] : table_) {
     if (entry.everywhere || entry.replicas.empty()) continue;
     auto it = owned.find(entry.replicas.front());
     if (it == owned.end()) continue;
-    ++it->second;
+    max_owned = std::max(max_owned, ++it->second);
     ++total;
   }
-  if (total == 0) return 1.0;
-  int64_t max_owned = 0;
-  for (const auto& [id, count] : owned) {
-    max_owned = std::max(max_owned, count);
-  }
-  const double mean =
-      static_cast<double>(total) / static_cast<double>(owned.size());
-  return static_cast<double>(max_owned) / mean;
-}
-
-void ShardCoordinator::PublishImbalanceLocked() const {
-  routing_imbalance_->Set(ImbalanceLocked());
+  // max / mean owned scenarios per live shard; 1.0 when nothing is owned.
+  const double imbalance =
+      total == 0 ? 1.0
+                 : static_cast<double>(max_owned) *
+                       static_cast<double>(owned.size()) /
+                       static_cast<double>(total);
+  routing_imbalance_->Set(imbalance);
+  return imbalance;
 }
 
 double ShardCoordinator::RoutingImbalance() const {
   MutexLock state(state_mu_);
-  PublishImbalanceLocked();
-  return ImbalanceLocked();
+  return PublishImbalanceLocked();
 }
 
 Result<LatencyStats> ShardCoordinator::GetLatencyStats(

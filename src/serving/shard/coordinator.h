@@ -26,8 +26,8 @@ namespace serving {
 namespace shard {
 
 struct CoordinatorOptions {
-  /// Worker shards (each a ModelServer on its own thread). Ids are
-  /// "shard-0".."shard-(n-1)".
+  /// Worker shards (each a ModelServer with its own batching dispatcher).
+  /// Ids are "shard-0".."shard-(n-1)".
   int num_shards = 4;
   /// Virtual nodes per shard on the consistent-hash ring.
   int vnodes_per_shard = 128;
@@ -47,10 +47,10 @@ struct CoordinatorOptions {
     return breaker;
   }
   resilience::CircuitBreakerOptions shard_breaker = DefaultShardBreaker();
-  /// Queue cap per shard (hard backpressure); 0 = unbounded.
+  /// Cap on each shard's depth (hard backpressure); 0 = unbounded.
   int64_t max_queue_depth_per_shard = 0;
   /// Soft load-shedding watermarks per shard, with hysteresis: from
-  /// `shed_high_watermark` until the queue drains to `shed_low_watermark`,
+  /// `shed_high_watermark` until the depth drains to `shed_low_watermark`,
   /// non-critical tasks are rejected with kResourceExhausted; hot /
   /// everywhere scenarios only meet the hard cap. High <= 0 disables it.
   int64_t shed_high_watermark = 0;
@@ -75,8 +75,9 @@ struct CoordinatorOptions {
 /// snapshot (ModelServer::Prepare), and that one pointer is published to
 /// every replica, gated by a per-scenario version so a rebalance can never
 /// clobber a newer model. Predict and EnqueuePredict share one
-/// route/failover loop: rank the live replicas, submit to one, and continue
-/// from that task's completion callback on failure. A dead shard (Kill, or
+/// route/failover loop: rank the live replicas and try one, inline on the
+/// caller's thread for a sync trip, or through the shard queue, whose
+/// callback continues the loop, for a batched one. A dead shard (Kill, or
 /// breaker forced open by consecutive failures) triggers HandleShardDeath:
 /// the shard leaves the ring and its scenarios' snapshots are published to
 /// their new ring owners — only keys the ring moved.
@@ -130,12 +131,12 @@ class ShardCoordinator {
   std::vector<std::string> Scenarios() const;
 
   /// Routes to the scenario's replica group (power-of-two-choices over
-  /// queue depth), failing over on shard errors, and waits for the answer.
+  /// depth) and scores on the calling thread, failing over on shard errors.
   /// With resilience enabled an unknown scenario still routes by ring hash
   /// so the shard engine's default-scenario degradation applies. A sampled
   /// `ctx` books `route` for replica ranking, `failover` for failed
   /// attempts (and the rebalances they trigger), `shed_requeue` for shed
-  /// ones; the shard books the successful attempt as queue_wait + compute.
+  /// ones; the shard books the successful attempt as compute.
   Result<std::vector<float>> Predict(
       const std::string& scenario, const data::Batch& batch,
       const obs::RequestContext& ctx = obs::RequestContext());
@@ -154,8 +155,8 @@ class ShardCoordinator {
   void EnableResilience(const ServingResilienceOptions& options,
                         resilience::Clock* clock = nullptr);
 
-  /// Chaos hook: kills the worker (its dispatcher completes the queued
-  /// tasks with Unavailable and their trips fail over). The rebalance
+  /// Chaos hook: kills the worker (its requests in flight, inline or
+  /// queued, complete Unavailable and their trips fail over). The rebalance
   /// triggers on the next predicts against the dead shard, exactly as a
   /// real crash would.
   Status KillShard(const std::string& shard_id);
@@ -184,8 +185,9 @@ class ShardCoordinator {
 
   std::vector<std::string> ShardIds() const;
   int NumLiveShards() const;
-  const WorkerShard* shard(const std::string& shard_id) const;
-  WorkerShard* shard(const std::string& shard_id);
+  /// The worker under `shard_id`, dead or alive; nullptr when unknown.
+  WorkerShard* shard(const std::string& shard_id) const
+      ALT_EXCLUDES(state_mu_);
 
   /// The scenario's current replica group (empty when unknown).
   std::vector<std::string> ReplicasOf(const std::string& scenario) const;
@@ -240,16 +242,13 @@ class ShardCoordinator {
 
   /// Every worker, dead or alive.
   std::vector<WorkerShard*> Workers() const ALT_EXCLUDES(state_mu_);
-  /// The worker under `shard_id`, dead or alive; nullptr when unknown.
-  WorkerShard* FindShard(const std::string& shard_id) const
-      ALT_EXCLUDES(state_mu_);
   /// Sets the trip's candidates in failover order: power-of-two-choices on
   /// queue depth for a sync trip, group order (batching locality) for a
   /// coalescable one. Dead shards stay listed so the loop triggers the
   /// rebalance. Hot / everywhere scenarios are kCritical (shed last).
   void RankReplicas(Trip* trip) ALT_EXCLUDES(state_mu_);
-  /// The route/failover loop: tries candidates until a shard accepts the
-  /// task (its callback continues the loop) or the trip finishes.
+  /// The route/failover loop: tries candidates until the trip finishes or
+  /// a shard queues its task (whose callback continues the loop).
   void RouteTrip(std::shared_ptr<Trip> trip)
       ALT_EXCLUDES(control_mu_, state_mu_);
   /// Books one attempt's outcome (breaker, counters, rebalance, segments).
@@ -263,9 +262,10 @@ class ShardCoordinator {
   /// Ends a trip no attempt answered with its last status.
   void Finish(Trip* trip);
   /// Removes a failed shard from the ring and re-deploys its scenarios onto
-  /// their new owners. Idempotent; serialized by control_mu_. May run on a
-  /// shard dispatcher (from a completion callback), whose queue then waits
-  /// for it; a shard already rebalanced away returns without control_mu_.
+  /// their new owners. Idempotent; serialized by control_mu_. Runs on the
+  /// thread that saw the failure: a sync caller, or a shard dispatcher
+  /// (from a completion callback), whose queue then waits for it. A shard
+  /// already rebalanced away returns without control_mu_.
   void HandleShardDeath(const std::string& shard_id)
       ALT_EXCLUDES(control_mu_, state_mu_);
   void HandleShardDeathLocked(const std::string& shard_id)
@@ -299,8 +299,8 @@ class ShardCoordinator {
   /// replica group names it because its rebalance has not finished.
   bool RoutableLocked(const std::string& shard_id) const
       ALT_REQUIRES(state_mu_);
-  double ImbalanceLocked() const ALT_REQUIRES(state_mu_);
-  void PublishImbalanceLocked() const ALT_REQUIRES(state_mu_);
+  /// Publishes and returns the routing_imbalance gauge's value.
+  double PublishImbalanceLocked() const ALT_REQUIRES(state_mu_);
 
   CoordinatorOptions options_;
   const BatchingOptions batching_;

@@ -75,20 +75,10 @@ WorkerShard::~WorkerShard() { Stop(); }
 void WorkerShard::Stop() {
   {
     MutexLock lock(mu_);
-    stopping_ = true;
+    stopping_ = true;  // The dispatcher exits once its queue is empty.
   }
-  cv_.NotifyAll();
+  Kill();  // Orphans everything admitted, so the queue drains at once.
   if (dispatcher_.joinable()) dispatcher_.join();
-  std::deque<Task> leftover;
-  {
-    MutexLock lock(mu_);
-    leftover.swap(queue_);
-  }
-  for (Task& task : leftover) {
-    task.done(Status::Unavailable("shard " + id_ + " shutting down"),
-              /*shared=*/false);
-  }
-  Release(static_cast<int64_t>(leftover.size()));
 }
 
 Status WorkerShard::Deploy(const std::string& scenario,
@@ -118,45 +108,75 @@ bool WorkerShard::UpdateShedState(int64_t depth) {
   return shedding;
 }
 
-Status WorkerShard::Enqueue(const std::string& scenario,
-                           const data::Batch* batch, Admission admission,
-                           const obs::RequestContext& ctx, bool coalesce,
-                           Done done) {
+Status WorkerShard::Admit(Admission admission) {
   if (dead()) return Status::Unavailable("shard " + id_ + " is dead");
   const int64_t depth = queue_depth_.load(std::memory_order_relaxed);
   const int64_t max_depth = max_queue_depth_.load(std::memory_order_relaxed);
   if (max_depth > 0 && depth >= max_depth) {
-    return Status::ResourceExhausted(
-        "shard " + id_ + " queue full (depth " + std::to_string(depth) +
-        " >= cap " + std::to_string(max_depth) + ")");
+    return Status::ResourceExhausted("shard " + id_ + " full at depth " +
+                                     std::to_string(depth));
   }
   // Soft shed: evaluate the hysteresis state machine on every submit so
   // recovery is observed, but only kNormal traffic is actually rejected.
   if (UpdateShedState(depth) && admission != Admission::kCritical) {
-    return Status::ResourceExhausted(
-        "shard " + id_ + " shedding load (depth " + std::to_string(depth) +
-        " >= high watermark " +
-        std::to_string(
-            shed_high_watermark_.load(std::memory_order_relaxed)) +
-        ")");
+    return Status::ResourceExhausted("shard " + id_ +
+                                     " shedding load at depth " +
+                                     std::to_string(depth));
   }
-  Task task;
-  task.scenario = scenario;
-  task.batch = batch;
-  task.coalesce = coalesce;
-  task.done = std::move(done);
-  if (ctx.sampled()) task.ctx = ctx;
-  if (coalesce || ctx.sampled()) task.enqueue_us = obs::MonotonicMicros();
+  return Status::OK();
+}
+
+Result<std::vector<float>> WorkerShard::CallEngine(
+    const std::string& scenario, const data::Batch& batch,
+    const obs::RequestContext& ctx) {
+  obs::TraceSpan span("serving/shard/dispatch", ctx);
+  requests_total_->Add(1);
+  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  return engine_.Predict(scenario, batch);
+}
+
+Result<std::vector<float>> WorkerShard::Predict(
+    const std::string& scenario, const data::Batch& batch,
+    Admission admission, const obs::RequestContext& ctx) {
+  // Read before the dead check, which Kill sets before it advances the
+  // epoch: a Kill racing admission shows as a moved epoch.
+  const uint64_t epoch = kill_epoch_.load();
+  ALT_RETURN_IF_ERROR(Admit(admission));
+  queue_depth_gauge_->Set(static_cast<double>(queue_depth_.fetch_add(1) + 1));
+  if (paused_.load()) {
+    MutexLock lock(mu_);
+    // Explicit loop instead of predicate lambdas: see src/util/mutex.h.
+    while (paused_.load() && !Orphaned(epoch)) cv_.Wait(mu_);
+  }
+  const double start_us = ctx.sampled() ? obs::MonotonicMicros() : 0.0;
+  Result<std::vector<float>> scores = std::vector<float>();
+  if (!Orphaned(epoch)) scores = CallEngine(scenario, batch, ctx);
+  if (Orphaned(epoch)) {
+    // Killed before or during the call: a Revive may have emptied the
+    // engine under it, so no answer stands and the caller fails over.
+    scores = Status::Unavailable("shard " + id_ + " is dead");
+  } else if (scores.ok() && ctx.sampled()) {
+    ctx.trace->AddSegment(obs::segment::kCompute,
+                          (obs::MonotonicMicros() - start_us) / 1e3);
+  }
+  Release(1);
+  return scores;
+}
+
+Status WorkerShard::Enqueue(const std::string& scenario,
+                           const data::Batch* batch, Admission admission,
+                           const obs::RequestContext& ctx, Done done) {
+  ALT_RETURN_IF_ERROR(Admit(admission));
+  Task task{scenario, batch, std::move(done),
+            ctx.sampled() ? ctx : obs::RequestContext(),
+            obs::MonotonicMicros()};
   int64_t new_depth = 0;
   {
     MutexLock lock(mu_);
-    if (stopping_) {
-      return Status::Unavailable("shard " + id_ + " shutting down");
-    }
     // Re-checked under mu_: a Kill racing the check above must not leave a
     // task of the new epoch on a dead shard.
     if (dead()) return Status::Unavailable("shard " + id_ + " is dead");
-    task.epoch = kill_epoch_;
+    task.epoch = kill_epoch_.load();
     queue_.push_back(std::move(task));
     high_watermark_ =
         std::max(high_watermark_, static_cast<int64_t>(queue_.size()));
@@ -167,25 +187,11 @@ Status WorkerShard::Enqueue(const std::string& scenario,
   return Status::OK();
 }
 
-std::future<Result<std::vector<float>>> WorkerShard::SubmitPredict(
-    const std::string& scenario, const data::Batch& batch,
-    Admission admission, const obs::RequestContext& ctx) {
-  auto promise = std::make_shared<std::promise<Result<std::vector<float>>>>();
-  std::future<Result<std::vector<float>>> future = promise->get_future();
-  const Status admitted =
-      Enqueue(scenario, &batch, admission, ctx, /*coalesce=*/false,
-              [promise](Result<std::vector<float>> result, bool) {
-                promise->set_value(std::move(result));
-              });
-  if (!admitted.ok()) promise->set_value(admitted);
-  return future;
-}
-
 void WorkerShard::Kill() {
   {
     MutexLock lock(mu_);
     dead_.store(true, std::memory_order_release);
-    ++kill_epoch_;  // Everything queued so far is now orphaned.
+    kill_epoch_.fetch_add(1);  // Everything admitted so far is orphaned.
   }
   cv_.NotifyAll();
 }
@@ -198,6 +204,7 @@ Status WorkerShard::Revive() {
   // assigned scenario's current snapshot, and anything the engine held from
   // before the failure could conflict with scenarios re-created at
   // restarted versions while this shard was out.
+  kill_epoch_.fetch_add(1);  // No call that sees the emptied engine stands.
   for (const std::string& scenario : engine_.Scenarios()) {
     ALT_RETURN_IF_ERROR(engine_.Undeploy(scenario));
   }
@@ -209,13 +216,12 @@ Status WorkerShard::Revive() {
 void WorkerShard::PauseDispatchForTesting(bool paused) {
   {
     MutexLock lock(mu_);
-    paused_ = paused;
+    paused_.store(paused);
   }
   cv_.NotifyAll();
 }
 
 void WorkerShard::Release(int64_t n) {
-  if (n == 0) return;
   const int64_t depth = queue_depth_.fetch_sub(n) - n;
   queue_depth_gauge_->Set(static_cast<double>(depth));
   UpdateShedState(depth);
@@ -225,8 +231,7 @@ size_t WorkerShard::RunLengthLocked() const {
   const Task& front = queue_.front();
   const size_t cap = static_cast<size_t>(batching_.max_batch_size);
   size_t n = 0;
-  while (n < queue_.size() && n < cap && queue_[n].coalesce &&
-         queue_[n].epoch == front.epoch &&
+  while (n < queue_.size() && n < cap && queue_[n].epoch == front.epoch &&
          queue_[n].scenario == front.scenario) {
     ++n;
   }
@@ -237,25 +242,22 @@ void WorkerShard::DispatchLoop() {
   const double max_delay_us = batching_.max_delay_ms * 1e3;
   for (;;) {
     std::vector<Task> run;
-    bool orphaned = false;
     {
       MutexLock lock(mu_);
       // Explicit loop instead of predicate lambdas: see src/util/mutex.h.
       for (;;) {
-        if (stopping_) return;  // Stop() completes what is left.
         if (queue_.empty()) {
+          if (stopping_) return;
           cv_.Wait(mu_);
           continue;
         }
-        orphaned = queue_.front().epoch != kill_epoch_;
-        if (orphaned) break;  // Drained even while paused.
-        if (paused_) {
+        if (Orphaned(queue_.front().epoch)) break;  // Even while paused.
+        if (paused_.load()) {
           cv_.Wait(mu_);
           continue;
         }
-        if (!queue_.front().coalesce) break;
-        // A coalescable run waits for more rows only while it is all that
-        // is queued, and at most max_delay_ms after its first row arrived.
+        // A run waits for more rows only while it is all that is queued,
+        // and at most max_delay_ms after its first row arrived.
         const size_t n = RunLengthLocked();
         if (static_cast<int64_t>(n) >= batching_.max_batch_size ||
             n < queue_.size()) {
@@ -266,33 +268,24 @@ void WorkerShard::DispatchLoop() {
         if (wait_us <= 0.0) break;
         cv_.WaitFor(mu_, std::chrono::duration<double, std::micro>(wait_us));
       }
-      size_t take = 1;
-      if (!orphaned && queue_.front().coalesce) {
-        take = RunLengthLocked();
-        queue_high_watermark_->Observe(static_cast<double>(high_watermark_));
-        high_watermark_ = static_cast<int64_t>(queue_.size() - take);
-      }
+      const size_t take = RunLengthLocked();
+      queue_high_watermark_->Observe(static_cast<double>(high_watermark_));
+      high_watermark_ = static_cast<int64_t>(queue_.size() - take);
       const auto end = queue_.begin() + static_cast<std::ptrdiff_t>(take);
       run.assign(std::make_move_iterator(queue_.begin()),
                  std::make_move_iterator(end));
       queue_.erase(queue_.begin(), end);
     }
-    if (orphaned) {
-      run[0].done(Status::Unavailable("shard " + id_ + " is dead"),
-                  /*shared=*/false);
-      Release(1);
-    } else {
-      Dispatch(&run);
-    }
+    Dispatch(&run);
   }
 }
 
 void WorkerShard::Dispatch(std::vector<Task>* run) {
   std::vector<Task>& tasks = *run;
-  const bool coalesced = tasks[0].coalesce;
-  // Each row of a coalesced run is checked against the deployed model's
-  // input contract before merging, so a malformed request fails alone
-  // instead of failing every request it would have ridden with.
+  const uint64_t epoch = tasks[0].epoch;
+  // Each row of a run is checked against the deployed model's input
+  // contract before merging, so a malformed request fails alone instead of
+  // failing every request it would have ridden with.
   std::vector<Status> checks(tasks.size());
   std::vector<const data::Batch*> rows;
   bool sampled = false;
@@ -313,19 +306,20 @@ void WorkerShard::Dispatch(std::vector<Task>* run) {
   }
   const double start_us = sampled ? obs::MonotonicMicros() : 0.0;
   Result<std::vector<float>> scores = std::vector<float>();  // No rows: unread.
-  if (!rows.empty()) {
+  if (!rows.empty() && !Orphaned(epoch)) {
     data::Batch merged;
     if (rows.size() > 1) merged = MergeRows(rows);
-    obs::TraceSpan dispatch_span("serving/shard/dispatch", tasks[0].ctx);
-    scores = engine_.Predict(tasks[0].scenario,
-                             rows.size() > 1 ? merged : *rows[0]);
-    requests_total_->Add(1);
-    requests_served_.fetch_add(1, std::memory_order_relaxed);
+    scores = CallEngine(tasks[0].scenario,
+                        rows.size() > 1 ? merged : *rows[0], tasks[0].ctx);
   }
   const double end_us = sampled ? obs::MonotonicMicros() : 0.0;
-  if (coalesced) {
-    batches_dispatched_->Add(1);
-    batch_size_->Observe(static_cast<double>(tasks.size()));
+  batches_dispatched_->Add(1);
+  batch_size_->Observe(static_cast<double>(tasks.size()));
+  if (Orphaned(epoch)) {
+    // Killed before or during the call, as on the inline path: neither the
+    // answer nor the checks of a possibly emptied engine stand.
+    checks.assign(tasks.size(), Status::OK());
+    scores = Status::Unavailable("shard " + id_ + " is dead");
   }
   size_t row = 0;
   bool shared = false;  // The engine call's outcome was handed out already.
@@ -341,12 +335,11 @@ void WorkerShard::Dispatch(std::vector<Task>* run) {
       continue;
     }
     // Segments are booked on success only: a failed attempt's wall time is
-    // the coordinator's failover/shed segment. Every passenger of a
-    // coalesced call books its own wait and the shared engine call.
+    // the coordinator's failover/shed segment. Every passenger books its
+    // own wait and the shared engine call.
     if (task.ctx.sampled()) {
-      task.ctx.trace->AddSegment(
-          coalesced ? obs::segment::kBatchWait : obs::segment::kQueueWait,
-          (start_us - task.enqueue_us) / 1e3);
+      task.ctx.trace->AddSegment(obs::segment::kBatchWait,
+                                 (start_us - task.enqueue_us) / 1e3);
       task.ctx.trace->AddSegment(obs::segment::kCompute,
                                  (end_us - start_us) / 1e3);
     }

@@ -23,56 +23,51 @@ namespace alt {
 namespace serving {
 namespace shard {
 
-/// Admission class of one submitted task. The coordinator maps scenario
-/// placement to priority: hot / everywhere-deployed scenarios submit as
-/// kCritical and bypass the soft shed watermark (the hard queue cap still
-/// applies); everything else is kNormal and sheds first under pressure.
+/// Admission class of one request. The coordinator maps scenario placement
+/// to priority: hot / everywhere-deployed scenarios submit as kCritical and
+/// bypass the soft shed watermark (the hard cap still applies); everything
+/// else is kNormal and sheds first under pressure.
 enum class Admission { kNormal = 0, kCritical = 1 };
 
 /// Micro-batching limits of the shard dispatcher: a coalesced engine call
-/// takes up to `max_batch_size` rows and waits up to `max_delay_ms` after
-/// its first row for more, but only while nothing else is queued.
+/// takes up to `max_batch_size` queued rows and waits up to `max_delay_ms`
+/// after its first row for more, but only while nothing else is queued.
 struct BatchingOptions {
   int64_t max_batch_size = 16;
   double max_delay_ms = 2.0;
 };
 
-/// One worker of the sharded serving plane: a ModelServer engine owned by a
-/// dedicated dispatcher thread. The coordinator talks to a shard through two
-/// planes:
-///   - control plane: Deploy publishes a shared model snapshot on the
-///     engine, whose version gate keeps a stale broadcast (a rebalance
-///     racing a newer Deploy) from overwriting a newer model;
-///   - data plane: Enqueue adds a task on the shard's one queue. The
-///     dispatcher scores tasks in arrival order and runs each task's
-///     completion callback on its own thread. A same-scenario run of
-///     coalescable (one-row) tasks at the queue front is scored in one
-///     engine call; synchronous tasks are never coalesced.
+/// One worker of the sharded serving plane: a ModelServer engine and the
+/// policy around it. Control plane: Deploy publishes a shared model snapshot
+/// on the engine, whose version gate keeps a stale broadcast (a rebalance
+/// racing a newer Deploy) from overwriting a newer model. Data plane:
+/// Predict scores a sync request inline, on the caller's thread; Enqueue
+/// adds a one-row task on the shard's one queue, whose dispatcher thread
+/// scores each same-scenario run at the front in one engine call and runs
+/// the tasks' completion callbacks.
 ///
-/// Kill() marks the shard dead; its dispatcher completes the tasks queued
-/// before the kill with Unavailable, and callers fail over. Revive() undoes
-/// a Kill for warm re-join, with all serving state cleared.
+/// Kill() marks the shard dead and advances its kill epoch. Each request
+/// records the epoch at admission; an engine call whose epoch moved before
+/// or while it ran completes Unavailable, and callers fail over. Revive()
+/// undoes a Kill for warm re-join, with all serving state cleared.
 ///
-/// Admission control: beyond the hard `max_queue_depth` cap, kNormal tasks
-/// are rejected with ResourceExhausted once the queue reaches the high shed
-/// watermark, until it drains to the low one (hysteresis). kCritical tasks
-/// (hot or everywhere-deployed scenarios) are only bounded by the hard cap,
-/// so cold traffic sheds first. Every task counts one, coalescable or not.
+/// Admission: beyond the hard `max_queue_depth` cap on the depth (requests
+/// admitted and not completed, inline or queued), kNormal requests are
+/// rejected with ResourceExhausted from the high shed watermark until the
+/// depth drains to the low one (hysteresis), so cold traffic sheds first.
 ///
 /// Obs (shared registry): serving/shard/{queue_depth,requests,pressure}/<id>
-/// (tasks queued + in flight, engine calls, depth / high watermark), and per
-/// coalesced dispatch serving/batch_predictor/batches_dispatched,
-/// batch_size, and queue_high_watermark (deepest queue since the previous
-/// one). These count attempts, failed engine calls included: a request that
-/// fails over is counted again in the next shard's call. A task's metrics
-/// are updated before the depth drops for it.
+/// (depth, engine calls, depth / high watermark), and per dispatch
+/// serving/batch_predictor/batches_dispatched, batch_size, and
+/// queue_high_watermark (deepest queue since the previous one). These count
+/// attempts: a request that fails over is counted again in the next shard's
+/// call. A request's metrics are updated before the depth drops for it.
 class WorkerShard {
  public:
-  /// Completion callback of one task: runs exactly once, on the dispatcher
-  /// thread (or the one calling Stop()), before the task leaves the depth.
-  /// `shared` is true for the passengers after the first of one coalesced
-  /// engine call: they repeat its outcome, so per-call bookkeeping (the
-  /// shard breaker) counts the first only.
+  /// Completion callback of one queued task: runs exactly once, on the
+  /// dispatcher thread, before the task leaves the depth. `shared` marks the
+  /// passengers after the first of one coalesced engine call, so per-call
+  /// bookkeeping (the shard breaker) counts the first only.
   using Done =
       std::function<void(Result<std::vector<float>> result, bool shared)>;
 
@@ -93,25 +88,34 @@ class WorkerShard {
   Status Deploy(const std::string& scenario, ModelServer::Snapshot model,
                 uint64_t version, const DeployOptions& options = {});
 
-  /// Enqueues a task; on OK, `done` runs exactly once and `batch` must live
-  /// until then. A rejected submit returns its status and never calls
-  /// `done`: Unavailable for a dead or stopped shard, ResourceExhausted for
-  /// a shedding (kNormal only) or full queue. A `coalesce` (one-row) task
-  /// may share an engine call with its same-scenario neighbours. A sampled
-  /// `ctx` gets queue_wait (batch_wait when coalesced) + compute on success.
+  /// Scores `batch` on the calling thread. Unavailable for a dead shard or
+  /// a Kill during the call, ResourceExhausted for a shedding (kNormal
+  /// only) or full shard. A sampled `ctx` gets compute on success.
+  Result<std::vector<float>> Predict(const std::string& scenario,
+                                     const data::Batch& batch,
+                                     Admission admission,
+                                     const obs::RequestContext& ctx);
+
+  /// Enqueues a one-row task that may share an engine call with its
+  /// same-scenario neighbours. On OK, `done` runs exactly once and `batch`
+  /// must live until then; a rejected task gets Predict's admission status
+  /// and no callback. A sampled `ctx` gets batch_wait + compute on success.
   Status Enqueue(const std::string& scenario, const data::Batch* batch,
                  Admission admission, const obs::RequestContext& ctx,
-                 bool coalesce, Done done);
+                 Done done);
 
-  /// Enqueue of a synchronous task, answered through a future.
+  /// Predict, answered through a ready future.
   std::future<Result<std::vector<float>>> SubmitPredict(
       const std::string& scenario, const data::Batch& batch,
       Admission admission = Admission::kNormal,
-      const obs::RequestContext& ctx = obs::RequestContext());
+      const obs::RequestContext& ctx = obs::RequestContext()) {
+    std::promise<Result<std::vector<float>>> answer;
+    answer.set_value(Predict(scenario, batch, admission, ctx));
+    return answer.get_future();
+  }
 
-  /// Marks the shard dead; the dispatcher completes the tasks already
-  /// queued with Unavailable, even while paused. Runs no callback on the
-  /// calling thread. Idempotent.
+  /// Marks the shard dead: requests admitted before, queued (even while
+  /// paused) or inline, complete Unavailable. Runs no callback. Idempotent.
   void Kill();
   bool dead() const { return dead_.load(std::memory_order_acquire); }
 
@@ -120,11 +124,11 @@ class WorkerShard {
   /// FailedPrecondition unless the shard is dead.
   Status Revive();
 
-  /// Joins the dispatcher and completes every task still queued with
-  /// Unavailable on the calling thread. Idempotent; the destructor calls it.
+  /// Kill(), then joins the dispatcher once it has drained the queue.
+  /// Idempotent; the destructor calls it.
   void Stop();
 
-  /// Soft shed watermarks with hysteresis: shedding starts when the queue
+  /// Soft shed watermarks with hysteresis: shedding starts when the depth
   /// reaches `high` and stops once it drains to `low`; `high` <= 0 disables
   /// it. Relaxed atomics: a submit racing a retune sheds under either.
   void set_shed_watermarks(int64_t high, int64_t low) {
@@ -135,29 +139,29 @@ class WorkerShard {
   /// True while the shard is between watermarks shedding kNormal load.
   bool shedding() const { return shedding_.load(std::memory_order_relaxed); }
 
-  /// Test hook: while paused the dispatcher stops dequeuing, so tests can
-  /// build exact queue depths. Kill() and Stop() still drain the queue.
+  /// Test hook: while paused, the dispatcher stops dequeuing and inline
+  /// calls wait after admission; Kill() and Stop() still release both.
   void PauseDispatchForTesting(bool paused);
 
-  /// Tasks queued or in flight — the load signal the coordinator's
-  /// power-of-two-choices balancer compares.
+  /// Requests admitted and not completed — the load signal the
+  /// coordinator's power-of-two-choices balancer compares.
   int64_t QueueDepth() const {
     return queue_depth_.load(std::memory_order_relaxed);
   }
-  /// Engine calls made so far (one per coalesced run).
+  /// Engine calls made so far (one per inline call or coalesced run).
   int64_t RequestsServed() const {
     return requests_served_.load(std::memory_order_relaxed);
   }
 
-  /// Backpressure limit for Enqueue; 0 (default) = unbounded. Relaxed atomic
-  /// for the same control-plane-vs-submit race as the watermarks.
+  /// Backpressure limit on the depth; 0 (default) = unbounded. Relaxed
+  /// atomic for the same control-plane-vs-submit race as the watermarks.
   void set_max_queue_depth(int64_t depth) {
     max_queue_depth_.store(depth, std::memory_order_relaxed);
   }
 
   /// The shard-local engine. Exposed for control-plane wiring only
   /// (ConfigureResilience, breaker states, Undeploy, deployed versions) —
-  /// predictions go through Enqueue so they run on the shard's thread.
+  /// predictions go through Predict or Enqueue, which apply admission.
   ModelServer* engine() { return &engine_; }
   const ModelServer* engine() const { return &engine_; }
 
@@ -165,22 +169,30 @@ class WorkerShard {
   struct Task {
     std::string scenario;
     const data::Batch* batch = nullptr;
-    bool coalesce = false;
     Done done;
     obs::RequestContext ctx;  // Sampled requests only; default = inert.
-    double enqueue_us = 0.0;  // When coalescable (deadline) or sampled.
+    double enqueue_us = 0.0;  // Start of the coalescing deadline.
     uint64_t epoch = 0;  // kill_epoch_ at enqueue; stale = orphaned by Kill.
   };
 
+  /// The dead check, the hard cap and the shed hysteresis.
+  Status Admit(Admission admission);
+  /// True when a Kill (or Revive) came after admission at `epoch`.
+  bool Orphaned(uint64_t epoch) const { return kill_epoch_.load() != epoch; }
+  /// One engine call, counted in serving/shard/requests/<id>.
+  Result<std::vector<float>> CallEngine(const std::string& scenario,
+                                        const data::Batch& batch,
+                                        const obs::RequestContext& ctx);
+
   void DispatchLoop() ALT_EXCLUDES(mu_);
-  /// Scores `run` (one task, or a coalesced run) and completes its tasks.
+  /// Scores a run of tasks and completes them.
   void Dispatch(std::vector<Task>* run);
-  /// Leading coalescable same-scenario tasks, capped at max_batch_size.
+  /// Leading same-epoch same-scenario tasks, capped at max_batch_size.
   size_t RunLengthLocked() const ALT_REQUIRES(mu_);
-  /// Drops `n` completed tasks from the queue depth.
+  /// Drops `n` completed requests from the depth.
   void Release(int64_t n);
 
-  /// Advances the hysteresis state machine for a queue at `depth` (and the
+  /// Advances the hysteresis state machine for a shard at `depth` (and the
   /// pressure gauge); true while kNormal admissions are shed. Lock-free.
   bool UpdateShedState(int64_t depth);
 
@@ -206,11 +218,12 @@ class WorkerShard {
   mutable Mutex mu_;
   CondVar cv_;
   std::deque<Task> queue_ ALT_GUARDED_BY(mu_);
-  uint64_t kill_epoch_ ALT_GUARDED_BY(mu_) = 0;
+  // Kill advances it under mu_ (parked calls wait on cv_); read lock-free.
+  std::atomic<uint64_t> kill_epoch_{0};
+  std::atomic<bool> paused_{false};
   // Deepest queue_ since the last coalesced dispatch.
   int64_t high_watermark_ ALT_GUARDED_BY(mu_) = 0;
   bool stopping_ ALT_GUARDED_BY(mu_) = false;
-  bool paused_ ALT_GUARDED_BY(mu_) = false;
 
   std::thread dispatcher_;  // Last member: starts after the state above.
 };

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,6 +111,41 @@ TEST(ServingClientTest, MalformedRequestsAreRefusedNotFatal) {
   ASSERT_EQ(slo.count("s"), 1u);
   EXPECT_EQ(slo.at("s").bad, 0);
   EXPECT_EQ(slo.at("s").total, 1);
+}
+
+TEST(ServingClientTest, UnknownScenariosLeaveNoPerNameState) {
+  // A stream of made-up scenario names is counted in one counter: it
+  // grows no per-name histogram and no SLO ring, so /healthz's burning
+  // list cannot fill with them.
+  obs::MetricsRegistry registry;
+  ServingClient::Options options = SmallTopology(2, 1);
+  options.trace.sample_rate = 1.0;
+  ServingClient client(options, &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(41)).ok());
+  const data::Batch batch = OneSample(42);
+  ASSERT_TRUE(client.Predict("s", batch).ok());
+  const auto histogram_names = [&registry] {
+    std::set<std::string> names;
+    for (const auto& [name, buckets] : registry.TakeSnapshot().histograms) {
+      names.insert(name);
+    }
+    return names;
+  };
+  const std::set<std::string> histograms = histogram_names();
+  const std::vector<std::string> burning = client.slo()->Burning();
+  const size_t slo_scenarios = client.slo()->Snapshot().size();
+
+  constexpr int kUnknown = 1000;
+  for (int i = 0; i < kUnknown; ++i) {
+    EXPECT_EQ(client.Predict("made_up_" + std::to_string(i), batch)
+                  .status()
+                  .code(),
+              StatusCode::kNotFound);
+  }
+  EXPECT_EQ(histogram_names(), histograms);
+  EXPECT_EQ(client.slo()->Burning(), burning);
+  EXPECT_EQ(client.slo()->Snapshot().size(), slo_scenarios);
+  EXPECT_EQ(registry.counter_value("serving/request/not_found"), kUnknown);
 }
 
 TEST(ServingClientTest, SingleShardDefaultMatchesClassicServing) {
@@ -457,6 +493,46 @@ TEST(ServingClientTest, KillRejoinLosesNoBatchRequests) {
   // The rejoined shard serves again: its model came back from the cached
   // bundle at the current version.
   EXPECT_GE(client.coordinator()->shard(owner)->engine()->Version("s"), 1u);
+}
+
+TEST(ServingClientTest, KillEpochReleasesParkedSyncPredictToReplica) {
+  // A sync predict admitted on one replica parks there before its engine
+  // call. Killing that shard releases it with Unavailable on the caller's
+  // thread, which rebalances and takes the other replica's answer.
+  obs::MetricsRegistry registry;
+  ServingClient client(SmallTopology(3, 2), &registry);
+  ASSERT_TRUE(client.Deploy("s", TinyModel(25)).ok());
+  shard::ShardCoordinator* coordinator = client.coordinator();
+  const std::vector<std::string> group = coordinator->ReplicasOf("s");
+  ASSERT_EQ(group.size(), 2u);
+  const data::Batch batch = OneSample(26);
+  const std::vector<float> expected =
+      coordinator->shard(group[0])->engine()->Model("s")->PredictProbs(batch);
+
+  for (const std::string& id : group) {
+    coordinator->shard(id)->PauseDispatchForTesting(true);
+  }
+  std::future<Result<std::vector<float>>> parked = std::async(
+      std::launch::async, [&client, &batch] {
+        return client.Predict("s", batch);
+      });
+  std::string victim;
+  while (victim.empty()) {
+    for (const std::string& id : group) {
+      if (coordinator->shard(id)->QueueDepth() == 1) victim = id;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::string survivor = victim == group[0] ? group[1] : group[0];
+  coordinator->shard(survivor)->PauseDispatchForTesting(false);
+  ASSERT_TRUE(client.KillShard(victim).ok());
+
+  Result<std::vector<float>> result = parked.get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value(), expected);
+  EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 1);
+  EXPECT_EQ(client.NumLiveShards(), 2);
+  EXPECT_EQ(coordinator->shard(victim)->QueueDepth(), 0);
 }
 
 TEST(ServingClientTest, AddShardGrowsTopologyAndServes) {

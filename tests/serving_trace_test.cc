@@ -4,10 +4,13 @@
 // FakeClock, and a concurrent traced chaos section (the TSan target of
 // check.sh's request-trace stage — the request context crosses the
 // caller, the coordinator, and the shard dispatcher threads that coalesce
-// batches and run failover callbacks).
+// batches and run failover callbacks; direct requests stay on the
+// caller's thread).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <string>
 #include <thread>
@@ -158,25 +161,39 @@ TEST(RequestTracerTest, DisabledRegistryIsInert) {
 // Segment attribution through the serving plane
 // ---------------------------------------------------------------------------
 
-TEST(ServingTraceTest, DirectPathDecomposesIntoQueueWaitAndCompute) {
+TEST(ServingTraceTest, DirectPathDecomposesIntoRouteAndCompute) {
+  // A direct request is scored on the caller's thread: every retained
+  // trace is route + compute, with no queue segment, and its segments
+  // never exceed its end-to-end time.
   obs::MetricsRegistry registry;
-  ServingClient client(TracedTopology(2, 2, 1.0), &registry);
+  ServingClient::Options options = TracedTopology(2, 2, 1.0);
+  constexpr int kRequests = 64;
+  options.trace.slow_ring_size = kRequests;
+  ServingClient client(options, &registry);
   ASSERT_TRUE(client.Deploy("s", TinyModel(1)).ok());
   const data::Batch batch = OneSample(2);
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < kRequests; ++i) {
     ASSERT_TRUE(client.Predict("s", batch).ok());
   }
   const auto slow = client.tracer()->SlowTraces();
-  ASSERT_FALSE(slow.empty());
+  ASSERT_EQ(slow.size(), static_cast<size_t>(kRequests));
+  std::vector<double> coverage;
   for (const auto& trace : slow) {
     EXPECT_TRUE(trace.ok);
-    EXPECT_GT(trace.SegmentMs(obs::segment::kQueueWait), 0.0);
+    EXPECT_GT(trace.SegmentMs(obs::segment::kRoute), 0.0);
     EXPECT_GT(trace.SegmentMs(obs::segment::kCompute), 0.0);
+    EXPECT_EQ(trace.SegmentMs("queue_wait"), 0.0);
     // No double counting: the segments never exceed the end-to-end time
     // (small epsilon for clock-read granularity at microsecond scale).
     EXPECT_LE(trace.SegmentSumMs(), trace.total_ms * 1.05 + 0.01);
+    coverage.push_back(trace.SegmentSumMs() / trace.total_ms);
   }
-  EXPECT_EQ(client.GetStats().traced_requests, 4);
+  std::sort(coverage.begin(), coverage.end());
+  std::printf("direct-path segment sum / total over %zu traces: p50 %.3f "
+              "p99 %.3f\n",
+              coverage.size(), coverage[coverage.size() / 2],
+              coverage[coverage.size() * 99 / 100]);
+  EXPECT_EQ(client.GetStats().traced_requests, kRequests);
 }
 
 TEST(ServingTraceTest, FailoverSegmentAppearsWhenReplicaDies) {

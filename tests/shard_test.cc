@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <map>
 #include <set>
@@ -21,6 +22,7 @@
 #include "src/serving/shard/hash_ring.h"
 #include "src/serving/shard/shard.h"
 #include "src/serving/shard/supervisor.h"
+#include "src/util/mutex.h"
 
 namespace alt {
 namespace serving {
@@ -168,6 +170,62 @@ data::Batch OneSample(uint64_t seed) {
   return batch;
 }
 
+/// Queues a one-row task on `shard`; its answer arrives through the future.
+std::future<Result<std::vector<float>>> EnqueueRow(
+    WorkerShard* shard, const std::string& scenario, const data::Batch& row,
+    Admission admission) {
+  auto answer = std::make_shared<std::promise<Result<std::vector<float>>>>();
+  std::future<Result<std::vector<float>>> future = answer->get_future();
+  const Status admitted = shard->Enqueue(
+      scenario, &row, admission, obs::RequestContext(),
+      [answer](Result<std::vector<float>> result, bool) {
+        answer->set_value(std::move(result));
+      });
+  if (!admitted.ok()) answer->set_value(admitted);
+  return future;
+}
+
+/// Scores `batch` inline on a thread of its own, so a paused shard parks
+/// it; returns once the call is admitted (counted in the shard's depth).
+std::future<Result<std::vector<float>>> ParkInline(WorkerShard* shard,
+                                                   const data::Batch& batch,
+                                                   Admission admission) {
+  const int64_t depth = shard->QueueDepth();
+  std::future<Result<std::vector<float>>> future =
+      std::async(std::launch::async, [shard, &batch, admission] {
+        return shard->Predict("s", batch, admission, obs::RequestContext());
+      });
+  while (shard->QueueDepth() == depth) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return future;
+}
+
+/// A clock that runs an armed hook once, from its next NowMs(). With engine
+/// resilience on, the engine reads it inside Predict, after the deployment
+/// lookup: the hook then runs while the engine call is in flight.
+class HookClock : public resilience::Clock {
+ public:
+  void Arm(std::function<void()> hook) {
+    MutexLock lock(mu_);
+    hook_ = std::move(hook);
+  }
+  double NowMs() override {
+    std::function<void()> hook;
+    {
+      MutexLock lock(mu_);
+      hook.swap(hook_);
+    }
+    if (hook) hook();
+    return resilience::RealClock()->NowMs();
+  }
+  void SleepMs(double ms) override { resilience::RealClock()->SleepMs(ms); }
+
+ private:
+  Mutex mu_;
+  std::function<void()> hook_ ALT_GUARDED_BY(mu_);
+};
+
 TEST(WorkerShardTest, VersionGateRejectsStaleAcceptsEqual) {
   obs::MetricsRegistry registry;
   WorkerShard shard("shard-0", &registry);
@@ -197,6 +255,96 @@ TEST(WorkerShardTest, KillDrainsQueueWithUnavailable) {
   EXPECT_EQ(shard.Deploy("t", TinySnapshot(2), 1).code(),
             StatusCode::kUnavailable);
   shard.Kill();  // Idempotent.
+}
+
+TEST(WorkerShardTest, KillEpochMovedDuringEngineCallIsUnavailable) {
+  // A Kill and a Revive land while an engine call is in flight. Revive
+  // empties the engine, so the call's answer must not stand, inline or
+  // queued: it completes Unavailable, and a caller fails over instead of
+  // taking a stale answer or a terminal NotFound from the emptied engine.
+  obs::MetricsRegistry registry;
+  HookClock clock;
+  WorkerShard shard("shard-0", &registry);
+  shard.engine()->ConfigureResilience(ServingResilienceOptions(), &clock);
+  const data::Batch batch = OneSample(43);
+  const auto kill_and_revive = [&shard] {
+    shard.Kill();
+    EXPECT_TRUE(shard.Revive().ok());
+  };
+
+  ASSERT_TRUE(shard.Deploy("s", TinySnapshot(42), 1).ok());
+  ASSERT_TRUE(shard.SubmitPredict("s", batch).get().ok());
+  clock.Arm(kill_and_revive);
+  Result<std::vector<float>> inline_call = shard.SubmitPredict("s", batch).get();
+  EXPECT_EQ(inline_call.status().code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(shard.engine()->IsDeployed("s"));
+
+  ASSERT_TRUE(shard.Deploy("s", TinySnapshot(42), 1).ok());
+  clock.Arm(kill_and_revive);
+  Result<std::vector<float>> queued =
+      EnqueueRow(&shard, "s", batch, Admission::kNormal).get();
+  EXPECT_EQ(queued.status().code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(shard.engine()->IsDeployed("s"));
+}
+
+TEST(WorkerShardTest, InlineAndCoalescedCallsShareOneEngine) {
+  // Inline sync predicts and the dispatcher's coalesced runs score on one
+  // engine at the same time, and every answer is the model's own, bit for
+  // bit.
+  obs::MetricsRegistry registry;
+  BatchingOptions batching;
+  batching.max_batch_size = 8;
+  WorkerShard shard("shard-0", &registry, batching);
+  const ModelServer::Snapshot model = TinySnapshot(44);
+  ASSERT_TRUE(shard.Deploy("s", model, 1).ok());
+  constexpr int kRows = 32;
+  constexpr int kRepeats = 4;
+  std::vector<data::Batch> rows;
+  std::vector<std::vector<float>> expected;
+  for (int i = 0; i < kRows; ++i) {
+    rows.push_back(OneSample(500 + static_cast<uint64_t>(i)));
+    expected.push_back(model->PredictProbs(rows.back()));
+  }
+  // The queued rows wait behind the paused dispatcher, and the inline
+  // callers park behind it too, so all of them start together.
+  shard.PauseDispatchForTesting(true);
+  std::vector<std::future<Result<std::vector<float>>>> queued;
+  for (int r = 0; r < kRepeats; ++r) {
+    for (const data::Batch& row : rows) {
+      queued.push_back(EnqueueRow(&shard, "s", row, Admission::kNormal));
+    }
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&, t] {
+      for (int r = 0; r < kRepeats; ++r) {
+        for (int i = t; i < kRows; i += 2) {
+          auto scores = shard.Predict("s", rows[static_cast<size_t>(i)],
+                                      Admission::kNormal,
+                                      obs::RequestContext());
+          if (!scores.ok() ||
+              scores.value() != expected[static_cast<size_t>(i)]) {
+            wrong.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  while (shard.QueueDepth() < kRows * kRepeats + 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  shard.PauseDispatchForTesting(false);
+  for (std::thread& caller : callers) caller.join();
+  for (size_t k = 0; k < queued.size(); ++k) {
+    auto scores = queued[k].get();
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    EXPECT_EQ(scores.value(), expected[k % kRows]) << k;
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(
+      registry.histogram_summary("serving/batch_predictor/batch_size").max,
+      8.0);
 }
 
 CoordinatorOptions SmallCoordinator(int shards, int replication) {
@@ -519,14 +667,16 @@ TEST(WorkerShardTest, ShedWatermarksHysteresisAndCriticalBypass) {
 
   const data::Batch batch = OneSample(31);
   std::vector<std::future<Result<std::vector<float>>>> queued;
-  // Three critical submits fill the queue to the high watermark.
-  for (int i = 0; i < 3; ++i) {
-    queued.push_back(shard.SubmitPredict("s", batch, Admission::kCritical));
+  // Three critical requests fill the shard to the high watermark: a parked
+  // inline call and two queued rows.
+  queued.push_back(ParkInline(&shard, batch, Admission::kCritical));
+  for (int i = 0; i < 2; ++i) {
+    queued.push_back(EnqueueRow(&shard, "s", batch, Admission::kCritical));
   }
   EXPECT_FALSE(shard.shedding());
 
   // The next kNormal submit observes depth >= high: it is rejected with
-  // kResourceExhausted (load, not failure) and nothing is enqueued.
+  // kResourceExhausted (load, not failure) and nothing is admitted.
   auto shed = shard.SubmitPredict("s", batch).get();
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
@@ -534,10 +684,10 @@ TEST(WorkerShardTest, ShedWatermarksHysteresisAndCriticalBypass) {
 
   // Critical traffic (hot / everywhere scenarios) bypasses the soft
   // watermark while the shard sheds.
-  queued.push_back(shard.SubmitPredict("s", batch, Admission::kCritical));
+  queued.push_back(EnqueueRow(&shard, "s", batch, Admission::kCritical));
 
-  // Drain. Every queued request completes — shedding rejected new work, it
-  // never dropped accepted work.
+  // Drain. Every admitted request completes — shedding rejected new work,
+  // it never dropped accepted work.
   shard.PauseDispatchForTesting(false);
   for (auto& future : queued) {
     auto result = future.get();
@@ -563,8 +713,8 @@ TEST(WorkerShardTest, HardQueueCapStillRejectsCriticalTraffic) {
   shard.PauseDispatchForTesting(true);
 
   const data::Batch batch = OneSample(33);
-  auto a = shard.SubmitPredict("s", batch, Admission::kCritical);
-  auto b = shard.SubmitPredict("s", batch, Admission::kCritical);
+  auto a = ParkInline(&shard, batch, Admission::kCritical);
+  auto b = EnqueueRow(&shard, "s", batch, Admission::kCritical);
   // The hard cap is the memory-safety backstop: not even critical traffic
   // may pass it.
   auto rejected = shard.SubmitPredict("s", batch, Admission::kCritical).get();
@@ -594,8 +744,7 @@ TEST(ShardCoordinatorTest, ShedsWithResourceExhaustedAndRecovers) {
     WorkerShard* worker = coordinator.shard(id);
     worker->PauseDispatchForTesting(true);
     for (int i = 0; i < 2; ++i) {
-      queued.push_back(
-          worker->SubmitPredict("cold", batch, Admission::kCritical));
+      queued.push_back(EnqueueRow(worker, "cold", batch, Admission::kCritical));
     }
   }
 
@@ -612,7 +761,8 @@ TEST(ShardCoordinatorTest, ShedsWithResourceExhaustedAndRecovers) {
   }
   EXPECT_EQ(registry.counter_value("serving/rebalance_events"), 0);
 
-  // Hot scenarios map to critical admission and bypass the soft watermark.
+  // Hot scenarios map to critical admission and bypass the soft watermark;
+  // the admitted call parks inline until dispatch resumes.
   std::future<Result<std::vector<float>>> hot_future =
       std::async(std::launch::async, [&coordinator, &batch]() {
         return coordinator.Predict("hot", batch);

@@ -207,8 +207,11 @@ if wants serving-elastic; then
   # Serving-elastic stage: the shard lifecycle suite under ASan. Covers the
   # supervisor state machine (probe flap must never evict a healthy shard),
   # warm kill->rejoin with zero lost requests on both the direct and the
-  # batched path (a killed shard's own dispatcher drains its queue into
-  # failover), staged ring admission movement bounds, the shed-then-recover
+  # batched path (a kill advances the shard's kill epoch: a killed shard's
+  # dispatcher drains its queue into failover, and a parked sync predict is
+  # released on its caller's thread to fail over), an engine call the epoch
+  # moved under completing Unavailable instead of answering from an emptied
+  # engine, staged ring admission movement bounds, the shed-then-recover
   # hysteresis contract, a malformed request failing alone inside a
   # coalesced batch, a failed coalesced engine call charging the shard
   # breaker once, and a rebalance run from a dispatcher callback stalling
@@ -216,18 +219,19 @@ if wants serving-elastic; then
   echo "==> serving-elastic stage (build-asan, shard lifecycle suite)"
   ./build-asan/tests/shard_test --gtest_filter=\
 'ShardSupervisorTest.*:*Rejoin*:*Shed*:*Staged*:*AddShard*:*HardQueueCap*:'\
-'*CallbackRebalance*'
+'*CallbackRebalance*:*KillEpoch*'
   ./build-asan/tests/serving_client_test --gtest_filter=\
 '*KillRejoin*:*AddShardGrows*:*GetHealthReflects*:*ShardDeath*:*PoisonRequest*:'\
-'*ChargesShardOnce*'
+'*ChargesShardOnce*:*KillEpoch*'
 fi
 
 if wants request-trace; then
   ensure_release_build
-  # Request-trace stage: the traced serving chaos suite under TSan (the
-  # request context crosses the caller, the coordinator, and the shard
-  # dispatcher threads that coalesce batches and run failover callbacks —
-  # exactly the handoffs TSan can falsify), then two traced
+  # Request-trace stage: the traced serving chaos suite under TSan (a
+  # batched request's context crosses the caller, the coordinator, and the
+  # shard dispatcher threads that coalesce batches and run failover
+  # callbacks; a direct request's stays on its caller's thread, beside
+  # them — exactly the handoffs TSan can falsify), then two traced
   # smoke runs of the scale bench gated on throughput. Each bench run
   # asserts the /trace/slow contract: a retained slow trace with a failover
   # segment whose decomposition sums to its end-to-end latency.
@@ -286,9 +290,11 @@ if wants tsan; then
   # another holds a NoGradGuard), and the serving plane, whose shard
   # dispatchers run completion callbacks that fail requests over to other
   # shards (serving_client_test, shard_test) and whose engines run
-  # concurrent forward passes on one shared model snapshot with no lock
-  # (serving_test's ConcurrentPredictsAreSafe, shard_test's replica and
-  # redeploy tests, serving_client_test's live resilience switch). Only the
+  # concurrent forward passes on one shared model snapshot with no lock:
+  # sync predicts inline on their callers' threads beside coalesced runs
+  # on the dispatcher (serving_test's ConcurrentPredictsAreSafe,
+  # shard_test's replica, redeploy and inline-plus-coalesced tests,
+  # serving_client_test's live resilience switch). Only the
   # threading-related targets are built and run: TSan slows everything
   # ~10x and the rest of the suite is single-threaded.
   TSAN_TARGETS=(parallel_for_test kernel_parity_test util_test hpo_test
